@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._validation import check_non_negative
-from repro.cluster import ClusterState
+from repro.cluster import CAPACITY_ATOL, ClusterState
 
 __all__ = ["ObjectiveWeights", "Objective", "IncrementalObjective"]
 
@@ -125,7 +125,7 @@ class Objective:
             "replica_conflicts": float(conflicts),
         }
 
-    def is_feasible(self, state: ClusterState, *, atol: float = 1e-9) -> bool:
+    def is_feasible(self, state: ClusterState, *, atol: float = CAPACITY_ATOL) -> bool:
         """Hard feasibility: within capacity, fully assigned, R vacancies."""
         if not state.is_fully_assigned():
             return False
@@ -240,7 +240,7 @@ class IncrementalObjective:
                     )
         return out
 
-    def is_feasible(self, state: ClusterState, *, atol: float = 1e-9) -> bool:
+    def is_feasible(self, state: ClusterState, *, atol: float = CAPACITY_ATOL) -> bool:
         """Hard feasibility, identical to ``base.is_feasible`` (which now
         also reads the incremental caches)."""
         return self.base.is_feasible(state, atol=atol)

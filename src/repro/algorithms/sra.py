@@ -25,7 +25,7 @@ import numpy as np
 from repro import obs
 from repro.cluster import ClusterState, ExchangeLedger
 from repro.algorithms.baselines import LocalSearchRebalancer
-from repro.migration import StagingPlanner, WaveScheduler, diff_moves
+from repro.migration import StagingPlanner, WaveScheduler
 from repro.algorithms.base import RebalanceResult, Rebalancer, finalize_result
 from repro.algorithms.budget import MigrationBudget
 from repro.algorithms.destroy import (
@@ -147,10 +147,9 @@ class SRA(Rebalancer):
                 return False
             if ledger is not None and not ledger.is_satisfiable(candidate):
                 return False
-            moves = diff_moves(state, candidate.assignment_view())
-            if not moves:
+            if np.array_equal(candidate.assignment_view(), reference):
                 return True
-            plan = planner.plan(state, candidate.assignment)
+            plan = planner.plan(state, candidate.assignment_view())
             if not plan.feasible:
                 return False
             # The authoritative byte cap: what the executor would actually

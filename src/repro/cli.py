@@ -60,7 +60,7 @@ from repro.algorithms import (
     SRA,
     SRAConfig,
 )
-from repro.cluster import load_json, save_json
+from repro.cluster import ClusterState, load_json, save_json
 from repro.core import ResourceExchangeRebalancer
 from repro.metrics import imbalance_report
 from repro.workloads import (
@@ -73,6 +73,21 @@ from repro.workloads import (
 )
 
 __all__ = ["main", "build_parser"]
+
+
+class _InputError(Exception):
+    """A user input the CLI reports as one ``error:`` line (exit 2)."""
+
+
+def _load_snapshot(path: str) -> ClusterState:
+    """``load_json`` with a malformed or unreadable snapshot reported as
+    an :class:`_InputError` instead of a traceback."""
+    try:
+        return load_json(path)
+    except KeyError as exc:
+        raise _InputError(f"snapshot {path}: missing field {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise _InputError(f"snapshot {path}: {' '.join(str(exc).split())}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,7 +381,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    state = load_json(args.snapshot)
+    state = _load_snapshot(args.snapshot)
     rep = imbalance_report(state)
     print(f"machines            {state.num_machines}")
     print(f"shards              {state.num_shards}")
@@ -400,7 +415,7 @@ def _make_algorithm(args: argparse.Namespace):
 
 
 def _cmd_rebalance(args: argparse.Namespace) -> int:
-    state = load_json(args.snapshot)
+    state = _load_snapshot(args.snapshot)
     rebalancer = ResourceExchangeRebalancer(
         _make_algorithm(args),
         exchange_machines=args.exchange,
@@ -449,7 +464,7 @@ def _cmd_runtime(args: argparse.Namespace) -> int:
     )
     from repro.simulate import WorkProfile, diurnal_rate, nonhomogeneous_arrivals, summarize
 
-    state = load_json(args.snapshot)
+    state = _load_snapshot(args.snapshot)
     if not state.is_fully_assigned():
         print("runtime: snapshot must be fully assigned", file=sys.stderr)
         return 2
@@ -783,6 +798,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "generate":
         return _cmd_generate(args)
     if args.command == "info":

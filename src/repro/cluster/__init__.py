@@ -14,12 +14,19 @@ from repro.cluster.exchange import (
     settle_fleet,
 )
 from repro.cluster.machine import Machine, MachineClass
-from repro.cluster.resources import DEFAULT_SCHEMA, ResourceSchema, dominates, safe_ratio
+from repro.cluster.resources import (
+    CAPACITY_ATOL,
+    DEFAULT_SCHEMA,
+    ResourceSchema,
+    dominates,
+    safe_ratio,
+)
 from repro.cluster.shard import Shard
 from repro.cluster.snapshot import from_dict, load_json, save_json, to_dict
 from repro.cluster.state import UNASSIGNED, ClusterState
 
 __all__ = [
+    "CAPACITY_ATOL",
     "DEFAULT_SCHEMA",
     "ResourceSchema",
     "dominates",

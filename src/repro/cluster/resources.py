@@ -20,7 +20,14 @@ import numpy as np
 
 from repro._validation import as_demand_array
 
-__all__ = ["ResourceSchema", "DEFAULT_SCHEMA", "dominates", "safe_ratio"]
+__all__ = ["ResourceSchema", "DEFAULT_SCHEMA", "CAPACITY_ATOL", "dominates", "safe_ratio"]
+
+#: Absolute tolerance of every capacity comparison: placement feasibility
+#: (``ClusterState.is_within_capacity``, ``fits``, ``overloaded_machines``,
+#: ``Objective.is_feasible``, :func:`dominates`) and the migration
+#: planner's transient check, so no layer accepts a placement or plan
+#: another rejects.
+CAPACITY_ATOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,7 @@ class ResourceSchema:
 DEFAULT_SCHEMA = ResourceSchema(("cpu", "ram", "disk"))
 
 
-def dominates(a: np.ndarray, b: np.ndarray, *, atol: float = 1e-9) -> bool:
+def dominates(a: np.ndarray, b: np.ndarray, *, atol: float = CAPACITY_ATOL) -> bool:
     """True when vector *a* >= *b* component-wise (within *atol*).
 
     Used for capacity checks: a machine with headroom ``h`` can accept a

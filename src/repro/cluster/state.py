@@ -43,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.cluster.machine import Machine
-from repro.cluster.resources import ResourceSchema, safe_ratio
+from repro.cluster.resources import CAPACITY_ATOL, ResourceSchema, safe_ratio
 from repro.cluster.shard import Shard
 
 __all__ = ["ClusterState", "UNASSIGNED"]
@@ -708,15 +708,15 @@ class ClusterState:
         """True when every shard has a machine (cached, O(1))."""
         return self._num_unassigned == 0
 
-    def is_within_capacity(self, *, atol: float = 1e-9) -> bool:
+    def is_within_capacity(self, *, atol: float = CAPACITY_ATOL) -> bool:
         """True when no machine exceeds capacity in any dimension."""
         return bool(np.all(self._loads <= self._capacity + atol))
 
-    def overloaded_machines(self, *, atol: float = 1e-9) -> np.ndarray:
+    def overloaded_machines(self, *, atol: float = CAPACITY_ATOL) -> np.ndarray:
         """Ids of machines exceeding capacity in some dimension."""
         return np.flatnonzero(np.any(self._loads > self._capacity + atol, axis=1))
 
-    def fits(self, shard_id: int, machine_id: int, *, atol: float = 1e-9) -> bool:
+    def fits(self, shard_id: int, machine_id: int, *, atol: float = CAPACITY_ATOL) -> bool:
         """Would *shard_id* fit on *machine_id* right now (ignoring its
         current placement if it is already there)?"""
         extra = self._demand[shard_id]

@@ -1,8 +1,8 @@
 """Migration planning under transient resource constraints."""
 
 from repro.migration.costmodel import BandwidthModel, MigrationCost
-from repro.migration.moves import Move, diff_moves
-from repro.migration.scheduler import Schedule, WaveScheduler
+from repro.migration.moves import Move, MoveArrays, diff_move_arrays, diff_moves
+from repro.migration.scheduler import Schedule, WaveKernel, WaveScheduler
 from repro.migration.staging import (
     PlanResult,
     StagingPlanner,
@@ -12,8 +12,11 @@ from repro.migration.staging import (
 
 __all__ = [
     "Move",
+    "MoveArrays",
+    "diff_move_arrays",
     "diff_moves",
     "Schedule",
+    "WaveKernel",
     "WaveScheduler",
     "StagingPlanner",
     "PlanResult",

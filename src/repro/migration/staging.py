@@ -18,9 +18,9 @@ import networkx as nx
 import numpy as np
 
 from repro import obs
-from repro.cluster import ClusterState
-from repro.migration.moves import Move, diff_moves
-from repro.migration.scheduler import Schedule, WaveScheduler
+from repro.cluster import CAPACITY_ATOL, ClusterState
+from repro.migration.moves import Move, diff_move_arrays
+from repro.migration.scheduler import Schedule, WaveKernel, WaveScheduler
 
 __all__ = ["dependency_graph", "deadlock_cycles", "StagingPlanner", "PlanResult"]
 
@@ -37,7 +37,7 @@ def dependency_graph(state: ClusterState, moves: list[Move]) -> nx.DiGraph:
     g.add_nodes_from(range(state.num_machines))
     headroom = state.headroom()
     for mv in moves:
-        if not np.all(state.demand[mv.shard_id] <= headroom[mv.dst] + 1e-9):
+        if not np.all(state.demand[mv.shard_id] <= headroom[mv.dst] + CAPACITY_ATOL):
             g.add_edge(mv.src, mv.dst, shard=mv.shard_id)
     return g
 
@@ -75,7 +75,7 @@ class PlanResult:
 
     @property
     def num_hops(self) -> int:
-        return sum(1 for mv in self.schedule.all_moves() if mv.is_staged_hop)
+        return sum(int(np.count_nonzero(w.hop_of >= 0)) for w in self.schedule.wave_arrays)
 
 
 class StagingPlanner:
@@ -110,19 +110,23 @@ class StagingPlanner:
     def plan(self, state: ClusterState, target_assignment: np.ndarray) -> PlanResult:
         """Produce a feasible schedule from *state* to *target_assignment*.
 
-        Staging is attempted only when direct scheduling strands moves.
-        The input state is never mutated.
+        Staging is attempted only when direct scheduling strands moves,
+        and resumes from the state where the direct pass stranded.  The
+        input state is never mutated.
         """
-        moves = diff_moves(state, target_assignment)
-        direct = self.scheduler.schedule(state, moves)
-        if direct.feasible:
+        moves = diff_move_arrays(state, target_assignment)
+        kernel = self.scheduler.start(state, moves)
+        if kernel.run():
+            direct = kernel.schedule()
             self._publish(direct)
             return PlanResult(schedule=direct, direct_feasible=True)
 
-        staged_schedule, staged_shards = self._stage(state, moves)
-        if staged_schedule is None:
+        direct = kernel.schedule()
+        staged_shards = self._stage(kernel, len(moves))
+        if staged_shards is None:
             self._publish(direct)
             return PlanResult(schedule=direct, direct_feasible=False)
+        staged_schedule = kernel.schedule()
         self._publish(staged_schedule)
         return PlanResult(
             schedule=staged_schedule,
@@ -141,125 +145,81 @@ class StagingPlanner:
             metrics.counter("migration.plans").inc()
 
     # ------------------------------------------------------------- internal
-    def _stage(
-        self, state: ClusterState, moves: list[Move]
-    ) -> tuple[Schedule | None, set[int]]:
-        """Greedy wave simulation with on-demand staging.
+    def _stage(self, kernel: WaveKernel, num_moves: int) -> set[int] | None:
+        """Continue a stranded direct pass with on-demand staging.
 
-        Builds the wave schedule directly (the returned schedule IS the
-        simulated execution — it is never re-derived, which could fail
-        since greedy wave packing is order-sensitive).  When no move can
-        start, reroutes one stranded shard through the machine with the
-        most headroom and continues.  Returns (None, shards) when no
-        staging host exists for any stranded move.
+        The kernel's waves so far are the staged schedule's first waves
+        (the direct pass is the staging pass up to its first deadlock), so
+        they are re-announced as staged and the loop goes on from there.
+        The schedule the kernel ends with IS the simulated execution — it
+        is never re-derived, which could fail since greedy wave packing is
+        order-sensitive.  At each deadlock one stranded shard is rerouted
+        through the machine with the most headroom.  Returns the staged
+        shards, or None when no staging host exists for any stranded move.
         """
-        loads = state.loads.copy()
-        capacity = state.capacity
-        demand = state.demand
-        location = state.assignment.copy()
+        for index in range(len(kernel.waves)):
+            kernel.emit(index, staged=True)
         hops_used: dict[int, int] = {}
         staged_shards: set[int] = set()
-        schedule = Schedule()
-        peak = float(np.max(loads / capacity))
-        pending: list[Move] = sorted(moves, key=lambda mv: -mv.bytes)
-        exchange_mask = state.exchange_mask
-        tracer = obs.current().tracer
-        trace_on = tracer.enabled
-
-        guard = 0
-        while pending:
+        # One loop iteration per wave so far; the next one repeats the
+        # direct pass's failed wave, which is known to start nothing.
+        guard = len(kernel.waves)
+        stalled = True
+        while len(kernel.pending):
             guard += 1
-            if guard > 4 * len(moves) + 16:
-                return None, staged_shards  # should not happen; safety net
-            progressed = False
-            wave: list[Move] = []
-            in_flight = np.zeros_like(loads)
-            started: set[int] = set()
-            for mv in pending:
-                if mv.shard_id in started or location[mv.shard_id] != mv.src:
-                    continue
-                if WaveScheduler._replica_blocked(state, location, mv.shard_id, mv.dst):
-                    continue
-                extra = demand[mv.shard_id]
-                if np.all(
-                    loads[mv.dst] + in_flight[mv.dst] + extra <= capacity[mv.dst] + 1e-9
-                ):
-                    in_flight[mv.dst] += extra
-                    wave.append(mv)
-                    started.add(mv.shard_id)
-            if wave:
-                peak = max(peak, float(np.max((loads + in_flight) / capacity)))
-                for mv in wave:
-                    loads[mv.src] -= demand[mv.shard_id]
-                    loads[mv.dst] += demand[mv.shard_id]
-                    location[mv.shard_id] = mv.dst
-                done = {id(mv) for mv in wave}
-                pending = [mv for mv in pending if id(mv) not in done]
-                schedule.waves.append(wave)
-                if trace_on:
-                    tracer.event(
-                        "migration.wave",
-                        wave=len(schedule.waves) - 1,
-                        moves=len(wave),
-                        bytes=float(sum(m.bytes for m in wave)),
-                        transient_peak=peak,
-                        staged=True,
-                    )
-                progressed = True
+            if guard > 4 * num_moves + 16:
+                return None  # should not happen; safety net
+            if not stalled and kernel.step(staged=True):
                 continue
+            stalled = False
+            if not self._reroute_one(kernel, hops_used, staged_shards):
+                return None
+        return staged_shards
 
-            # Deadlock: stage one stranded move through a spare machine.
-            for k, mv in enumerate(pending):
-                if location[mv.shard_id] != mv.src:
-                    continue
-                if hops_used.get(mv.shard_id, 0) >= self.max_hops_per_shard:
-                    continue
-                host = self._staging_host(
-                    mv,
-                    loads,
-                    capacity,
-                    demand[mv.shard_id],
-                    exchange_mask,
-                    blocked=state.offline_mask,
-                    sibling_hosts=location[state.replica_peers(mv.shard_id)],
+    def _reroute_one(
+        self, kernel: WaveKernel, hops_used: dict[int, int], staged_shards: set[int]
+    ) -> bool:
+        """Stage the first stranded move that has a staging host."""
+        state = kernel.state
+        pending = kernel.pending
+        location = kernel.location
+        tracer = obs.current().tracer
+        for k in np.flatnonzero(location[pending.shard] == pending.src).tolist():
+            shard = int(pending.shard[k])
+            if hops_used.get(shard, 0) >= self.max_hops_per_shard:
+                continue
+            src = int(pending.src[k])
+            dst = int(pending.dst[k])
+            host = self._staging_host(
+                src,
+                dst,
+                kernel.loads,
+                kernel.capacity,
+                kernel.demand[shard],
+                state.exchange_mask,
+                blocked=state.offline_mask,
+                sibling_hosts=location[state.replica_peers(shard)],
+            )
+            if host is None:
+                continue
+            kernel.split(k, host)
+            hops_used[shard] = hops_used.get(shard, 0) + 1
+            staged_shards.add(shard)
+            if tracer.enabled:
+                tracer.event(
+                    "migration.staging_hop",
+                    shard=shard,
+                    via=int(host),
+                    src=src,
+                    dst=dst,
                 )
-                if host is None:
-                    continue
-                hop1 = Move(
-                    shard_id=mv.shard_id,
-                    src=mv.src,
-                    dst=host,
-                    bytes=mv.bytes,
-                    hop_of=mv.src,
-                )
-                hop2 = Move(
-                    shard_id=mv.shard_id,
-                    src=host,
-                    dst=mv.dst,
-                    bytes=mv.bytes,
-                    hop_of=mv.src,
-                )
-                pending[k : k + 1] = [hop1, hop2]
-                hops_used[mv.shard_id] = hops_used.get(mv.shard_id, 0) + 1
-                staged_shards.add(mv.shard_id)
-                if trace_on:
-                    tracer.event(
-                        "migration.staging_hop",
-                        shard=int(mv.shard_id),
-                        via=int(host),
-                        src=int(mv.src),
-                        dst=int(mv.dst),
-                    )
-                progressed = True
-                break
-            if not progressed:
-                return None, staged_shards
-        schedule.peak_transient_utilization = peak
-        return schedule, staged_shards
+            return True
+        return False
 
     def _staging_host(
         self,
-        mv: Move,
+        src: int,
+        dst: int,
         loads: np.ndarray,
         capacity: np.ndarray,
         extra: np.ndarray,
@@ -272,11 +232,16 @@ class StagingPlanner:
         Offline (failed) machines are never used as staging hosts;
         blocked designated-return machines remain legitimate hosts (they
         are only handed back once the migration completes).
+
+        The fit test allows ``1e-12`` of slack, not ``CAPACITY_ATOL``:
+        it ranks candidate hosts rather than judging a plan (the hop
+        itself still has to pass the wave kernel's ``CAPACITY_ATOL``
+        test), and a looser slack would change which host is picked.
         """
         headroom = capacity - loads
         fits = np.all(headroom >= extra - 1e-12, axis=1)
-        fits[mv.src] = False
-        fits[mv.dst] = False
+        fits[src] = False
+        fits[dst] = False
         if blocked is not None:
             fits[blocked] = False
         if sibling_hosts is not None and sibling_hosts.size:

@@ -33,10 +33,11 @@ The **parent** that called :func:`publish_state` /
 ``IncumbentSlot(...)`` owns the segments: it must call ``close()`` and
 ``unlink()`` (both objects are context managers doing exactly that) —
 on normal exit *and* on error paths.  Workers are attach-only: they
-``close()`` their mapping at process exit and never unlink.  Attaching
-explicitly unregisters the segment from the worker's
-``resource_tracker`` so Python < 3.13 does not unlink (or warn about)
-a segment the worker never owned.  A crashed or timeout-killed worker
+``close()`` their mapping at process exit and never unlink.  A worker
+that runs its own ``resource_tracker`` unregisters the segment right
+after attaching, so Python < 3.13 does not unlink (or warn about) a
+segment the worker never owned; a worker that shares the parent's
+tracker leaves the parent's single entry alone.  A crashed or timeout-killed worker
 therefore cannot leak the segment: the name lives exactly as long as
 the parent's ``unlink()`` is pending, which ``run_sra_restarts``
 guarantees with ``finally``.  ``ClusterState.detach()`` converts an
@@ -47,6 +48,7 @@ outlive its segment.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 from dataclasses import dataclass
 from multiprocessing.shared_memory import SharedMemory
 from types import TracebackType
@@ -76,19 +78,40 @@ __all__ = [
 
 
 def _untrack(shm: SharedMemory) -> None:
-    """Unregister *shm* from this process's resource tracker.
+    """Unregister *shm* from this process's own resource tracker.
 
     On Python < 3.13 ``SharedMemory(name=...)`` registers even pure
-    attachments, so a worker exiting would unlink (and warn about) a
-    segment the parent still owns.  Attach-side code calls this right
-    after opening; the parent keeps sole unlink responsibility.
+    attachments, so a worker running its own tracker would unlink (and
+    warn about) a segment the parent still owns when it exits.
+    Attach-side code calls this right after opening; the parent keeps
+    sole unlink responsibility.
+
+    A worker that reports to the parent's tracker (fork inherits it;
+    spawn and forkserver hand its pipe down) must not unregister: the
+    tracker keeps one entry per name, so the parent's own unregister at
+    ``unlink()`` — or a second worker's — would then fail with a
+    ``KeyError`` printed by the tracker.
     """
     try:  # pragma: no cover - tracker layout is an implementation detail
         from multiprocessing import resource_tracker
 
+        if not _owns_tracker(resource_tracker._resource_tracker):
+            return
         resource_tracker.unregister(getattr(shm, "_name", shm.name), "shared_memory")
     except Exception:
         pass
+
+
+def _owns_tracker(tracker: Any) -> bool:
+    """True when *tracker* is a process this process started."""
+    pid = tracker._pid
+    if pid is None:
+        return False  # pipe handed down by the parent (spawn, forkserver)
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return False  # inherited across fork: the parent's tracker
+    return True
 
 
 # ---------------------------------------------------------------- instance

@@ -162,12 +162,14 @@ def generate_datacenter(cfg: DatacenterConfig) -> ClusterState:
     # Scale both demand epochs so the *new* epoch hits target utilization
     # per dimension, capping any single shard at 30% of the smallest
     # machine so the snapshot stays packable (water-filling preserves the
-    # target total despite the cap).
+    # target total despite the cap).  A small fleet that drew a small
+    # tier can miss the target even with every shard at that cap; the
+    # cap then rises to the mean shard demand the target needs.
     min_cap = capacity.min(axis=0)
     total_cap = capacity.sum(axis=0)
     for k in range(old.shape[1]):
         target = cfg.target_utilization * total_cap[k]
-        shard_cap = 0.3 * min_cap[k]
+        shard_cap = max(0.3 * min_cap[k], target / cfg.num_shards)
         new[:, k] = waterfill_scale(new[:, k], target, shard_cap)
         old[:, k] = waterfill_scale(old[:, k], target, shard_cap)
 

@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -432,6 +435,60 @@ class TestScenarios:
         )
         assert code == 2
         assert "failure-storm" in capsys.readouterr().err
+
+
+def _corrupt_assignment(data):
+    data["assignment"][0] = 999
+
+
+def _corrupt_demand(data):
+    data["shards"][1]["demand"][0] = float("nan")
+
+
+class TestMalformedSnapshot:
+    """Each malformed-input class ends in one ``error:`` line and exit 2,
+    never a traceback."""
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_corrupt_assignment, "assignment references unknown machines"),
+            (_corrupt_demand, "demand must be finite"),
+        ],
+        ids=["unknown-machine", "nan-demand"],
+    )
+    def test_run_reports_one_line_and_exits_2(self, snapshot, tmp_path, corrupt, message):
+        data = json.loads(snapshot.read_text())
+        corrupt(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", str(bad), "--iterations", "5"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert message in lines[0]
+
+    def test_info_and_runtime_share_the_check(self, snapshot, tmp_path, capsys):
+        data = json.loads(snapshot.read_text())
+        _corrupt_demand(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        for argv in (["info", str(bad)], ["runtime", str(bad)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: snapshot ")
+
+    def test_missing_file(self, tmp_path, capsys):
+        assert main(["info", str(tmp_path / "absent.json")]) == 2
+        assert "No such file" in capsys.readouterr().err
 
 
 class TestParser:

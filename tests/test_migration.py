@@ -228,6 +228,22 @@ class TestStagingPlanner:
         with pytest.raises(ValueError, match="max_hops"):
             StagingPlanner(max_hops_per_shard=0)
 
+    def test_feasibility_and_bytes_build_no_move_objects(self, monkeypatch):
+        state, target = swap_deadlock_state(extra_vacant=1)
+        built = []
+        post_init = Move.__post_init__
+        monkeypatch.setattr(
+            Move, "__post_init__", lambda mv: (built.append(mv), post_init(mv))
+        )
+        plan = StagingPlanner().plan(state, target)
+        assert plan.feasible and plan.num_hops == 2
+        assert plan.schedule.total_bytes() == 3 * 6.0
+        assert (plan.schedule.num_waves, plan.schedule.num_moves) == (3, 3)
+        assert built == []
+        # Reading the waves builds them once, then they are cached.
+        assert plan.schedule.waves is plan.schedule.waves
+        assert len(built) == 3
+
 
 class TestBandwidthModel:
     def test_wave_duration_busiest_nic(self):

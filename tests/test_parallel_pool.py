@@ -356,6 +356,61 @@ class TestSharedStateLifecycle:
         assert _shm_names() == before
 
 
+#: A 2-worker persistent pool run under fork, with both workers made to
+#: attach before either finishes attaching: the interleaving in which
+#: per-worker unregistering from the shared resource tracker removed the
+#: parent's single entry twice (the tracker then printed a KeyError).
+_TRACKER_SCRIPT = """
+import multiprocessing as mp
+import threading
+
+from repro.algorithms import AlnsConfig, SRAConfig
+from repro.parallel import run_sra_restarts, shm
+from repro.workloads import SyntheticConfig, generate
+
+if __name__ == "__main__":
+    mp.set_start_method("fork")
+    barrier = mp.Barrier(2, timeout=10)
+    untrack = shm._untrack
+
+    def untrack_after_both_attached(segment):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        untrack(segment)
+
+    shm._untrack = untrack_after_both_attached
+    state = generate(SyntheticConfig(num_machines=8, shards_per_machine=4, seed=3))
+    config = SRAConfig(alns=AlnsConfig(iterations=10, seed=1))
+    report = run_sra_restarts(state, config=config, restarts=2, n_workers=2)
+    print("feasible", report.best.feasible)
+"""
+
+
+@needs_dev_shm
+class TestResourceTracker:
+    def test_pool_workers_leave_the_parents_tracker_entry_alone(self):
+        import subprocess
+
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        before = _shm_names()
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRACKER_SCRIPT],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "feasible" in proc.stdout
+        assert "KeyError" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+        leaked = {n for n in _shm_names() - before if n.startswith("psm_")}
+        assert not leaked
+
+
 # ------------------------------------------------------------- cooperative
 class _PlantedExchange:
     """Fake incumbent channel: hands out one planted incumbent, records

@@ -74,6 +74,14 @@ class TestGenerateDatacenter:
         np.testing.assert_allclose(state.sizes, state.demand[:, disk_idx])
 
 
+    def test_small_fleet_reaches_target_past_the_shard_cap(self):
+        # 72 shards at 30% of the smallest machine cannot carry 80% of
+        # this fleet's capacity; the cap rises instead of raising.
+        cfg = DatacenterConfig(num_machines=12, shards_per_machine=6, seed=132)
+        state = generate_datacenter(cfg)
+        state.validate()
+        assert state.mean_utilization() == pytest.approx(0.8)
+
 class TestSuites:
     def test_small_suite_sizes(self):
         suite = small_suite(seeds=(0,))
