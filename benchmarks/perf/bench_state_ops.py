@@ -2,8 +2,8 @@
 """Microbenchmarks for ClusterState mutation + transaction primitives.
 
 Times the operations the delta-evaluated ALNS loop leans on: single
-mutations inside/outside a transaction, begin/commit/rollback in both
-journal modes, vectorized bulk unassignment, and the lazy peak-cache
+mutations inside/outside a transaction, begin/rollback of the array
+snapshot, vectorized bulk unassignment, and the lazy peak-cache
 refresh.  Run directly; prints one line per primitive.
 """
 
@@ -43,27 +43,19 @@ def main() -> None:
 
         bench("move x2 (no transaction)", move_roundtrip)
 
-        def txn_noop(mode):
-            def run():
-                state.begin(mode=mode)
-                state.rollback()
+        def txn_noop():
+            state.begin()
+            state.rollback()
 
-            return run
+        bench("begin+rollback", txn_noop)
 
-        bench("begin+rollback (snapshot)", txn_noop("snapshot"))
-        bench("begin+rollback (journal)", txn_noop("journal"))
+        def txn_moves():
+            state.begin()
+            state.move(shard, machines[0])
+            state.move(shard, machines[1])
+            state.rollback()
 
-        def txn_moves(mode):
-            def run():
-                state.begin(mode=mode)
-                state.move(shard, machines[0])
-                state.move(shard, machines[1])
-                state.rollback()
-
-            return run
-
-        bench("begin+2 moves+rollback (snapshot)", txn_moves("snapshot"))
-        bench("begin+2 moves+rollback (journal)", txn_moves("journal"))
+        bench("begin+2 moves+rollback", txn_moves)
 
         batch = rng.choice(
             np.flatnonzero(state.assignment_view() >= 0),

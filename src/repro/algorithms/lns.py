@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class IncumbentChannel(Protocol):
     ) -> tuple[float, np.ndarray, np.ndarray] | None:
         """A strictly better foreign incumbent, or None."""
         ...
-
-#: Either operator protocol — ``AlnsEngine._bind`` preserves the kind.
-_OpT = TypeVar("_OpT", DestroyOperator, RepairOperator)
 
 
 @dataclass(frozen=True)
@@ -124,13 +121,6 @@ class AlnsConfig:
     #: rejected states bitwise); False keeps the copy-based loop as a
     #: reference implementation.
     delta_evaluation: bool = True
-    #: Largest machine count for which regret-2 re-partitions the full
-    #: active score rows after every insertion; above it the pruned
-    #: top-list path runs.  Both paths yield bitwise-identical
-    #: trajectories (see repro.algorithms.repair), so this is purely a
-    #: performance crossover.  Operators exposing a ``bind`` hook
-    #: (``Regret2Insertion``) receive this config at engine construction.
-    regret2_exact_max: int = 128
 
     def __post_init__(self) -> None:
         check_positive("iterations", self.iterations)
@@ -147,7 +137,6 @@ class AlnsConfig:
         check_positive("segment_length", self.segment_length)
         check_fraction("reaction", self.reaction)
         check_positive("n_workers", self.n_workers)
-        check_positive("regret2_exact_max", self.regret2_exact_max)
 
 
 @dataclass
@@ -183,18 +172,8 @@ class AlnsEngine:
         if not destroy_ops or not repair_ops:
             raise ValueError("need at least one destroy and one repair operator")
         self.config = config
-        # Operators exposing a ``bind(config)`` hook are resolved against
-        # this engine's config (e.g. Regret2Insertion picks up
-        # regret2_exact_max); plain callables pass through untouched.
-        self.destroy_ops = [self._bind(op) for op in destroy_ops]
-        self.repair_ops = [self._bind(op) for op in repair_ops]
-
-    def _bind(self, op: _OpT) -> _OpT:
-        bind = getattr(op, "bind", None)
-        if bind is None:
-            return op
-        bound: _OpT = bind(self.config)
-        return bound
+        self.destroy_ops = list(destroy_ops)
+        self.repair_ops = list(repair_ops)
 
     def run(
         self,

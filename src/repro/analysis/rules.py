@@ -272,8 +272,7 @@ _STATE_PRIVATE_ATTRS = frozenset(
 _STATE_PRIVATE_METHODS = frozenset(
     {
         "_rebuild_caches",
-        "_journal_shard",
-        "_journal_machine",
+        "_refleet",
         "_refreshed_peaks",
         "_host_enter",
         "_host_leave",

@@ -428,14 +428,7 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
         print("\nWARNING: no feasible rebalancing found", file=sys.stderr)
     if args.out:
         # Persist the augmented fleet with the final assignment.
-        from repro.cluster import ExchangeLedger
-        from repro.workloads import make_exchange_machines
-
-        grown, _ = ExchangeLedger.borrow(
-            state, make_exchange_machines(state, args.exchange)
-        )
-        grown.apply_assignment(report.result.target_assignment)
-        save_json(grown, args.out)
+        save_json(report.final, args.out)
         print(f"\nwrote rebalanced snapshot -> {args.out}")
     return 0 if report.feasible else 1
 

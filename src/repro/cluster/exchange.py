@@ -85,19 +85,13 @@ class ExchangeLedger:
             raise ValueError(f"required_returns must be >= 0, got {required_returns}")
         if required_returns > state.num_machines + len(machines):
             raise ValueError("cannot owe more returns than machines exist")
-        augmented = state.with_extra_machines(machines) if machines else state.copy()
+        augmented = state.with_extra_machines(machines)
         start = state.num_machines
-        ids = tuple(range(start, start + len(machines)))
-        cap = (
-            np.stack([m.capacity for m in machines]).sum(axis=0)
-            if machines
-            else np.zeros(state.dims)
-        )
         ledger = ExchangeLedger(
-            borrowed_ids=ids,
+            borrowed_ids=tuple(range(start, augmented.num_machines)),
             required_returns=required_returns,
             policy=policy,
-            _borrowed_capacity=cap,
+            _borrowed_capacity=augmented.capacity[start:].sum(axis=0),
         )
         return augmented, ledger
 
@@ -309,6 +303,11 @@ class ExchangePoolManager:
         standing loan, and return the policy's verdict for this round."""
         self.rounds_held += 1
         self.machine_rounds += self.on_loan
+        return self.decide(peak=peak, available=available)
+
+    def decide(self, *, peak: float, available: int) -> PoolDecision:
+        """The policy's verdict for the current round, without advancing
+        any clock (repeats :meth:`check`'s answer until :meth:`note`)."""
         return self.policy.decide(
             peak=peak,
             on_loan=self.on_loan,
@@ -345,20 +344,12 @@ def settle_fleet(
     """Close the episode: drop the returned machines from the fleet.
 
     Returns the post-settlement cluster (returned machines removed,
-    remaining machines re-indexed densely, assignment preserved), the
-    settlement, and the returned machine descriptions (what goes back
-    into the pool).
+    remaining machines re-indexed densely, assignment and offline/blocked
+    masks preserved), the settlement, and the returned machine
+    descriptions (what goes back into the pool).  An episode run through
+    :func:`repro.core.run_episode` settles from the settlement its
+    rebalancer already computed instead.
     """
     settlement = ledger.settle(final)
-    returned = set(settlement.returned_ids)
     returned_machines = [final.machines[mid] for mid in settlement.returned_ids]
-    if not returned:
-        return final.copy(), settlement, returned_machines
-    keep = [m for m in range(final.num_machines) if m not in returned]
-    remap = {old: new for new, old in enumerate(keep)}
-    machines = [final.machines[old].with_id(remap[old]) for old in keep]
-    assignment = np.array(
-        [remap[int(a)] for a in final.assignment_view()], dtype=np.int64
-    )
-    slim = ClusterState(machines, list(final.shards), assignment)
-    return slim, settlement, returned_machines
+    return final.without_machines(settlement.returned_ids), settlement, returned_machines

@@ -28,11 +28,14 @@ evaluation contract" section of docs/ARCHITECTURE.md):
   memory layout");
 * ``copy()`` is a cheap structural copy (arrays copied, descriptions
   shared);
-* ``begin()``/``commit()``/``rollback()`` bracket a transaction: every
-  ``move``/``assign_shard``/``unassign``/``unassign_many``/
-  ``block_machine``/``unblock_machine`` inside the transaction is
-  recorded in an undo journal, and ``rollback()`` restores the state —
-  including every cache above — **bitwise** to its ``begin()`` image.
+* ``begin()``/``commit()``/``rollback()`` bracket a transaction:
+  ``begin()`` snapshots the mutable arrays, replica host counters
+  touched inside the transaction are journaled, and ``rollback()``
+  restores the state — including every cache above — **bitwise** to its
+  ``begin()`` image;
+* ``with_extra_machines``/``without_machines`` grow and shrink the fleet
+  from the parent's arrays (offline and blocked masks included), the way
+  an exchange episode borrows and settles.
 """
 
 from __future__ import annotations
@@ -52,13 +55,6 @@ __all__ = ["ClusterState", "UNASSIGNED"]
 #: (only ever observed transiently, inside destroy/repair cycles).
 UNASSIGNED: int = -1
 
-#: ``begin(mode="auto")`` picks the array-snapshot journal while
-#: ``n + m·d`` is at most this many elements, and the per-operation
-#: journal above it.  Snapshotting is a handful of ``memcpy`` calls and
-#: beats per-op recording until the arrays are large; the per-op journal
-#: costs O(touched) regardless of cluster size.
-_SNAPSHOT_ELEMENT_LIMIT = 65_536
-
 #: Machines per segment of the peak-utilization block-max.  Float ``max``
 #: is exact and associative, so the global peak recomputed from block
 #: maxima is bitwise-identical to a full scan — but after a transaction
@@ -66,63 +62,37 @@ _SNAPSHOT_ELEMENT_LIMIT = 65_536
 _PEAK_BLOCK = 1024
 
 
+#: The mutable arrays :meth:`ClusterState.copy` duplicates.  All but
+#: ``_offline`` (which no transaction may change) are also snapshotted by
+#: ``begin()``.
+_MUTABLE_ARRAYS = (
+    "_assign", "_loads", "_loads_t", "_counts", "_peak", "_peak_dirty",
+    "_peak_block", "_block_dirty", "_blocked", "_offline",
+)
+_TXN_ARRAYS = _MUTABLE_ARRAYS[:-1]
+
+
 class _Frame:
-    """One open transaction: either an array snapshot or an undo journal.
+    """One open transaction: each live mutable array with a bitwise copy.
 
-    Snapshot mode stores bitwise copies of the mutable arrays; rollback
-    is a few ``np.copyto`` calls, O(n + m·d) with memcpy constants.
-
-    Journal mode stores, for every shard / machine / blocked flag /
-    replica-host counter *first touched* inside the frame, its value at
-    ``begin()``; rollback restores exactly those values, O(touched·d).
-    Both modes restore the state bitwise — they record old values rather
-    than replaying inverse arithmetic (``(x + b) - b`` is not always
-    ``x`` in floating point).
+    Rollback is a few ``np.copyto`` calls, O(n + m·d) with memcpy
+    constants.  Replica host counters live in nested dicts whose full copy
+    would be O(groups), so each (group, machine) pair *first touched*
+    inside the frame records its value at ``begin()`` instead.  Old values
+    are restored, never recomputed by inverse arithmetic (``(x + b) - b``
+    is not always ``x`` in floating point).
     """
 
     __slots__ = (
-        "snapshot",
-        "assign",
-        "loads",
-        "loads_t",
-        "counts",
-        "peak",
-        "peak_dirty",
-        "peak_any_dirty",
-        "peak_block",
-        "block_dirty",
-        "block_any_dirty",
-        "blocked",
-        "shards",
-        "machines",
-        "blocked_old",
-        "replica_hosts",
-        "num_unassigned",
-        "num_vacant",
-        "conflicts",
+        "arrays", "peak_any_dirty", "block_any_dirty", "replica_hosts",
+        "num_unassigned", "num_vacant", "conflicts",
     )
 
-    def __init__(self, state: "ClusterState", snapshot: bool) -> None:
-        self.snapshot = snapshot
-        if snapshot:
-            self.assign = state._assign.copy()
-            self.loads = state._loads.copy()
-            self.loads_t = state._loads_t.copy()
-            self.counts = state._counts.copy()
-            self.peak = state._peak.copy()
-            self.peak_dirty = state._peak_dirty.copy()
-            self.peak_any_dirty = state._peak_any_dirty
-            self.peak_block = state._peak_block.copy()
-            self.block_dirty = state._block_dirty.copy()
-            self.block_any_dirty = state._block_any_dirty
-            self.blocked = state._blocked.copy()
-        else:
-            self.shards: dict[int, int] = {}
-            self.machines: dict[int, tuple[np.ndarray, int]] = {}
-            self.blocked_old: dict[int, bool] = {}
-        # Replica host counters are journaled per touched (group, machine)
-        # pair in both modes: they live in nested dicts whose full copy
-        # would be O(groups) even for a tiny transaction.
+    def __init__(self, state: "ClusterState") -> None:
+        attrs = state.__dict__
+        self.arrays = [(attrs[name], attrs[name].copy()) for name in _TXN_ARRAYS]
+        self.peak_any_dirty = state._peak_any_dirty
+        self.block_any_dirty = state._block_any_dirty
         self.replica_hosts: dict[tuple[int, int], int] = {}
         self.num_unassigned = state._num_unassigned
         self.num_vacant = state._num_vacant
@@ -166,17 +136,40 @@ class ClusterState:
         for sh in shards:
             if sh.schema != schema:
                 raise ValueError("all shards must share the machines' resource schema")
+        self._adopt(
+            machines,
+            shards,
+            np.stack([mach.capacity for mach in machines]),  # (m, d)
+            np.stack([sh.demand for sh in shards]),  # (n, d)
+            np.array([sh.size_bytes for sh in shards], dtype=np.float64),
+            assignment,
+        )
+
+    def _adopt(
+        self,
+        machines: Sequence[Machine],
+        shards: Sequence[Shard],
+        capacity: np.ndarray,
+        demand: np.ndarray,
+        sizes: np.ndarray,
+        assignment: Sequence[int] | np.ndarray | None,
+        blocked: np.ndarray | None = None,
+        offline: np.ndarray | None = None,
+    ) -> None:
+        """The constructor's and :meth:`attach`'s shared tail: adopt the
+        description matrices as given, copy the mutable state, build every
+        cache.  Offline machines are forced blocked (see :meth:`set_offline`)."""
         if [mach.id for mach in machines] != list(range(len(machines))):
             raise ValueError("machine ids must be dense 0..m-1 in order")
         if [sh.id for sh in shards] != list(range(len(shards))):
             raise ValueError("shard ids must be dense 0..n-1 in order")
-
-        self._schema = schema
+        m, n = len(machines), len(shards)
+        self._schema = machines[0].schema
         self._machines: tuple[Machine, ...] = tuple(machines)
         self._shards: tuple[Shard, ...] = tuple(shards)
-        self._capacity = np.stack([mach.capacity for mach in machines])  # (m, d)
-        self._demand = np.stack([sh.demand for sh in shards])  # (n, d)
-        self._sizes = np.array([sh.size_bytes for sh in shards], dtype=np.float64)
+        self._capacity = capacity
+        self._demand = demand
+        self._sizes = sizes
         self._exchange_mask = np.array([mach.exchange for mach in machines], dtype=bool)
         self._norm_demand: np.ndarray | None = None  # lazy, shared by copies
         # Lazy (d, m) SoA mirrors of the immutable capacity matrix, shared
@@ -184,19 +177,19 @@ class ClusterState:
         self._cap_t: np.ndarray | None = None
         self._inv_cap_t: np.ndarray | None = None
 
-        n = len(shards)
         if assignment is None:
             self._assign = np.full(n, UNASSIGNED, dtype=np.int64)
         else:
             arr = np.asarray(assignment, dtype=np.int64)
             if arr.shape != (n,):
                 raise ValueError(f"assignment must have shape ({n},), got {arr.shape}")
-            bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= len(machines)))
+            bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= m))
             if np.any(bad):
                 raise ValueError(f"assignment references unknown machines at shards {np.flatnonzero(bad)}")
             self._assign = arr.copy()
-        self._blocked = np.zeros(len(machines), dtype=bool)
-        self._offline = np.zeros(len(machines), dtype=bool)
+        self._offline = np.zeros(m, dtype=bool) if offline is None else np.array(offline, dtype=bool)
+        self._blocked = np.zeros(m, dtype=bool) if blocked is None else np.array(blocked, dtype=bool)
+        self._blocked |= self._offline
         # Replica groups: logical shard id -> member shard ids (only for
         # shards declaring replica_of >= 0).  Anti-affinity (no two
         # members on one machine) is enforced by the algorithms, checked
@@ -367,37 +360,18 @@ class ClusterState:
         return self._inv_cap_t
 
     # --------------------------------------------------------- transactions
-    def begin(self, mode: str = "auto") -> None:
+    def begin(self) -> None:
         """Open a transaction; every mutation until :meth:`commit` /
         :meth:`rollback` is undoable.
 
-        Parameters
-        ----------
-        mode:
-            ``"snapshot"`` copies the mutable arrays up front (O(n + m·d)
-            memcpy — fastest for small/medium clusters), ``"journal"``
-            records old values per touched shard/machine (O(moves·d) —
-            wins on large clusters where the arrays dwarf the move set),
-            ``"auto"`` picks by size.
-
+        The mutable arrays are copied up front (O(n + m·d) memcpy).
         Transactions do not nest, and :meth:`apply_assignment`,
         :meth:`set_offline`, and :meth:`copy` are forbidden while one is
         open.
         """
         if self._frame is not None:
             raise RuntimeError("transaction already open (nested begin())")
-        if mode == "auto":
-            snapshot = (
-                self.num_shards + self.num_machines * self.dims
-                <= _SNAPSHOT_ELEMENT_LIMIT
-            )
-        elif mode == "snapshot":
-            snapshot = True
-        elif mode == "journal":
-            snapshot = False
-        else:
-            raise ValueError(f"unknown journal mode {mode!r}")
-        self._frame = _Frame(self, snapshot)
+        self._frame = _Frame(self)
 
     @property
     def in_transaction(self) -> bool:
@@ -405,7 +379,7 @@ class ClusterState:
         return self._frame is not None
 
     def commit(self) -> None:
-        """Keep every mutation since :meth:`begin`; drop the journal."""
+        """Keep every mutation since :meth:`begin`; drop the snapshot."""
         if self._frame is None:
             raise RuntimeError("commit() without begin()")
         self._frame = None
@@ -416,32 +390,10 @@ class ClusterState:
         if fr is None:
             raise RuntimeError("rollback() without begin()")
         self._frame = None  # mutations below must not be re-journaled
-        if fr.snapshot:
-            np.copyto(self._assign, fr.assign)
-            np.copyto(self._loads, fr.loads)
-            np.copyto(self._loads_t, fr.loads_t)
-            np.copyto(self._counts, fr.counts)
-            np.copyto(self._peak, fr.peak)
-            np.copyto(self._peak_dirty, fr.peak_dirty)
-            self._peak_any_dirty = fr.peak_any_dirty
-            np.copyto(self._peak_block, fr.peak_block)
-            np.copyto(self._block_dirty, fr.block_dirty)
-            self._block_any_dirty = fr.block_any_dirty
-            np.copyto(self._blocked, fr.blocked)
-        else:
-            for j, old in fr.shards.items():
-                self._assign[j] = old
-            for i, (row, count) in fr.machines.items():
-                self._loads[i] = row
-                self._loads_t[:, i] = row
-                self._counts[i] = count
-                self._peak_dirty[i] = True
-                self._block_dirty[i // _PEAK_BLOCK] = True
-            if fr.machines:
-                self._peak_any_dirty = True
-                self._block_any_dirty = True
-            for i, old_blocked in fr.blocked_old.items():
-                self._blocked[i] = old_blocked
+        for live, saved in fr.arrays:
+            np.copyto(live, saved)
+        self._peak_any_dirty = fr.peak_any_dirty
+        self._block_any_dirty = fr.block_any_dirty
         for (g, mach), cnt in fr.replica_hosts.items():
             hosts = self._replica_hosts[g]
             if cnt == 0:
@@ -451,17 +403,6 @@ class ClusterState:
         self._num_unassigned = fr.num_unassigned
         self._num_vacant = fr.num_vacant
         self._replica_conflicts = fr.conflicts
-
-    def _journal_shard(self, fr: _Frame, shard_id: int, old: int) -> None:
-        if shard_id not in fr.shards:
-            fr.shards[shard_id] = old
-
-    def _journal_machine(self, fr: _Frame, machine_id: int) -> None:
-        if machine_id not in fr.machines:
-            fr.machines[machine_id] = (
-                self._loads[machine_id].copy(),
-                int(self._counts[machine_id]),
-            )
 
     # ------------------------------------------------------------ mutation
     def machine_of(self, shard_id: int) -> int:
@@ -508,10 +449,6 @@ class ClusterState:
         src = int(self._assign[shard_id])
         if src == UNASSIGNED:
             return UNASSIGNED
-        fr = self._frame
-        if fr is not None and not fr.snapshot:
-            self._journal_shard(fr, shard_id, src)
-            self._journal_machine(fr, src)
         self._loads[src] -= self._demand[shard_id]
         self._loads_t[:, src] = self._loads[src]
         self._assign[shard_id] = UNASSIGNED
@@ -551,12 +488,6 @@ class ClusterState:
             s = np.sort(ids)
             if bool(np.any(s[1:] == s[:-1])):
                 raise ValueError("unassign_many: duplicate shard ids")
-        fr = self._frame
-        if fr is not None and not fr.snapshot:
-            for j, s in zip(ids.tolist(), srcs.tolist(), strict=True):
-                self._journal_shard(fr, j, s)
-            for i in np.unique(srcs).tolist():
-                self._journal_machine(fr, i)
         np.subtract.at(self._loads, srcs, self._demand[ids])
         self._assign[ids] = UNASSIGNED
         self._num_unassigned += int(ids.size)
@@ -588,10 +519,6 @@ class ClusterState:
             raise ValueError(f"unknown machine {machine_id}")
         if self._blocked[machine_id]:
             raise ValueError(f"machine {machine_id} is blocked for placement")
-        fr = self._frame
-        if fr is not None and not fr.snapshot:
-            self._journal_shard(fr, shard_id, UNASSIGNED)
-            self._journal_machine(fr, machine_id)
         self._assign[shard_id] = machine_id
         self._loads[machine_id] += self._demand[shard_id]
         self._loads_t[:, machine_id] = self._loads[machine_id]
@@ -795,9 +722,6 @@ class ClusterState:
             raise ValueError(f"unknown machine {machine_id}")
         if self._counts[machine_id] > 0:
             raise ValueError(f"cannot block machine {machine_id}: it hosts shards")
-        fr = self._frame
-        if fr is not None and not fr.snapshot and machine_id not in fr.blocked_old:
-            fr.blocked_old[machine_id] = bool(self._blocked[machine_id])
         self._blocked[machine_id] = True
 
     def unblock_machine(self, machine_id: int) -> None:
@@ -807,9 +731,6 @@ class ClusterState:
             raise ValueError(f"unknown machine {machine_id}")
         if self._offline[machine_id]:
             raise ValueError(f"machine {machine_id} is offline and cannot be unblocked")
-        fr = self._frame
-        if fr is not None and not fr.snapshot and machine_id not in fr.blocked_old:
-            fr.blocked_old[machine_id] = bool(self._blocked[machine_id])
         self._blocked[machine_id] = False
 
     @property
@@ -846,38 +767,15 @@ class ClusterState:
         """Structural copy: shares machine/shard descriptions, copies state."""
         if self._frame is not None:
             raise RuntimeError("copy() inside an open transaction")
-        dup = object.__new__(ClusterState)
-        dup._schema = self._schema
-        dup._machines = self._machines
-        dup._shards = self._shards
-        dup._capacity = self._capacity
-        dup._demand = self._demand
-        dup._sizes = self._sizes
-        dup._exchange_mask = self._exchange_mask
-        dup._norm_demand = self._norm_demand
-        dup._cap_t = self._cap_t
-        dup._inv_cap_t = self._inv_cap_t
-        dup._assign = self._assign.copy()
-        dup._loads = self._loads.copy()
-        dup._loads_t = self._loads_t.copy()
-        dup._blocked = self._blocked.copy()
-        dup._offline = self._offline.copy()
-        dup._replica_of = self._replica_of
-        dup._replica_groups = self._replica_groups
-        dup._counts = self._counts.copy()
-        dup._num_unassigned = self._num_unassigned
-        dup._num_vacant = self._num_vacant
-        dup._peak = self._peak.copy()
-        dup._peak_dirty = self._peak_dirty.copy()
-        dup._peak_any_dirty = self._peak_any_dirty
-        dup._peak_block = self._peak_block.copy()
-        dup._block_dirty = self._block_dirty.copy()
-        dup._block_any_dirty = self._block_any_dirty
-        dup._replica_hosts = {
+        # Descriptions, immutable matrices and lazy mirrors are shared.
+        attrs = self.__dict__.copy()
+        for name in _MUTABLE_ARRAYS:
+            attrs[name] = attrs[name].copy()
+        attrs["_replica_hosts"] = {
             g: hosts.copy() for g, hosts in self._replica_hosts.items()
         }
-        dup._replica_conflicts = self._replica_conflicts
-        dup._frame = None
+        dup = object.__new__(ClusterState)
+        dup.__dict__.update(attrs)
         return dup
 
     # ------------------------------------------------------ shared buffers
@@ -915,55 +813,15 @@ class ClusterState:
             raise ValueError("ClusterState requires at least one machine")
         if not shards:
             raise ValueError("ClusterState requires at least one shard")
-        schema = machines[0].schema
-        if [mach.id for mach in machines] != list(range(len(machines))):
-            raise ValueError("machine ids must be dense 0..m-1 in order")
-        if [sh.id for sh in shards] != list(range(len(shards))):
-            raise ValueError("shard ids must be dense 0..n-1 in order")
-        m, n, d = len(machines), len(shards), schema.dims
+        m, n, d = len(machines), len(shards), machines[0].schema.dims
         if capacity.shape != (m, d):
             raise ValueError(f"capacity must have shape ({m}, {d}), got {capacity.shape}")
         if demand.shape != (n, d):
             raise ValueError(f"demand must have shape ({n}, {d}), got {demand.shape}")
         if sizes.shape != (n,):
             raise ValueError(f"sizes must have shape ({n},), got {sizes.shape}")
-
         state = object.__new__(cls)
-        state._schema = schema
-        state._machines = tuple(machines)
-        state._shards = tuple(shards)
-        state._capacity = capacity
-        state._demand = demand
-        state._sizes = sizes
-        state._exchange_mask = np.array([mach.exchange for mach in machines], dtype=bool)
-        state._norm_demand = None
-        state._cap_t = None
-        state._inv_cap_t = None
-
-        arr = np.asarray(assignment, dtype=np.int64)
-        if arr.shape != (n,):
-            raise ValueError(f"assignment must have shape ({n},), got {arr.shape}")
-        bad = (arr != UNASSIGNED) & ((arr < 0) | (arr >= m))
-        if np.any(bad):
-            raise ValueError(f"assignment references unknown machines at shards {np.flatnonzero(bad)}")
-        state._assign = arr.copy()
-        state._offline = (
-            np.zeros(m, dtype=bool) if offline is None else np.asarray(offline, dtype=bool).copy()
-        )
-        state._blocked = (
-            np.zeros(m, dtype=bool) if blocked is None else np.asarray(blocked, dtype=bool).copy()
-        )
-        state._blocked |= state._offline
-        state._replica_of = np.array([sh.replica_of for sh in shards], dtype=np.int64)
-        groups: dict[int, list[int]] = {}
-        for sh in shards:
-            if sh.replica_of >= 0:
-                groups.setdefault(sh.replica_of, []).append(sh.id)
-        state._replica_groups = {
-            g: np.asarray(members, dtype=np.int64) for g, members in groups.items()
-        }
-        state._frame = None
-        state._rebuild_caches()
+        state._adopt(machines, shards, capacity, demand, sizes, assignment, blocked, offline)
         return state
 
     def detach(self) -> None:
@@ -996,16 +854,55 @@ class ClusterState:
         )
 
     def with_extra_machines(self, extra: Iterable[Machine]) -> "ClusterState":
-        """New state with *extra* machines appended (ids are rewritten to
-        continue the dense sequence); the assignment is preserved.
+        """New state with *extra* machines appended (ids continue the dense
+        sequence; the new machines are in service).  This is how borrowed
+        exchange machines join a cluster."""
+        return self._refleet(np.arange(self.num_machines), list(extra))
 
-        This is how borrowed exchange machines join a cluster.
+    def without_machines(self, machine_ids: Sequence[int]) -> "ClusterState":
+        """New state with the vacant machines *machine_ids* removed (the
+        rest re-indexed densely in order).  This is how returned machines
+        leave a cluster when an exchange episode settles."""
+        drop = np.zeros(self.num_machines, dtype=bool)
+        drop[np.asarray(machine_ids, dtype=np.int64)] = True
+        if np.any(self._counts[drop]):
+            raise ValueError("cannot remove machines that host shards")
+        return self._refleet(np.flatnonzero(~drop), [])
+
+    def _refleet(self, keep: np.ndarray, extra: list[Machine]) -> "ClusterState":
+        """This state's shards on machines *keep* followed by *extra*.
+
+        Built from the parent's arrays: shard descriptions, matrices and
+        replica tables are shared (they are immutable), the assignment is
+        remapped, the offline and blocked masks follow their machines,
+        and the caches are rebuilt exactly as the constructor builds them.
         """
-        extra = list(extra)
-        machines = list(self._machines) + [
-            mach.with_id(self.num_machines + k) for k, mach in enumerate(extra)
-        ]
-        return ClusterState(machines, self._shards, self._assign)
+        if self._frame is not None:
+            raise RuntimeError("fleet change inside an open transaction")
+        if not extra and keep.size == self.num_machines:
+            return self.copy()
+        if any(mach.schema != self._schema for mach in extra):
+            raise ValueError("all machines must share one resource schema")
+        # The extra last slot maps UNASSIGNED (-1) to itself.
+        new_id = np.full(self.num_machines + 1, UNASSIGNED, dtype=np.int64)
+        new_id[keep] = np.arange(keep.size)
+        machines = [self._machines[i] for i in keep.tolist()] + extra
+        fresh = np.zeros(len(extra), dtype=bool)
+        dup = object.__new__(ClusterState)
+        dup.__dict__.update(self.__dict__)
+        dup._machines = tuple(
+            mach if mach.id == i else mach.with_id(i) for i, mach in enumerate(machines)
+        )
+        dup._capacity = np.concatenate(
+            [self._capacity[keep], np.array([mach.capacity for mach in extra]).reshape(-1, self.dims)]
+        )
+        dup._exchange_mask = np.array([mach.exchange for mach in machines], dtype=bool)
+        dup._cap_t = dup._inv_cap_t = None
+        dup._assign = new_id[self._assign]
+        dup._blocked = np.concatenate([self._blocked[keep], fresh])
+        dup._offline = np.concatenate([self._offline[keep], fresh])
+        dup._rebuild_caches()
+        return dup
 
     def validate(self) -> None:
         """Audit every internal invariant; raise ``ValueError`` on breach.

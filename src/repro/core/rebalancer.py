@@ -8,17 +8,19 @@
     >>> report = ResourceExchangeRebalancer(exchange_machines=2).run(state)
     >>> print(report.format_table())          # doctest: +SKIP
 
-It owns the full episode: augment the cluster with borrowed machines,
-run the configured algorithm (SRA by default), plan the transient-safe
-migration, settle the vacancy-return contract, and package metrics.
+It runs one :func:`~repro.core.episode.run_episode` — augment the
+cluster with borrowed machines, run the configured algorithm (SRA by
+default), which plans the transient-safe migration and settles the
+vacancy-return contract — and packages the metrics.
 """
 
 from __future__ import annotations
 
 from repro import obs
 from repro.algorithms import Rebalancer, SRA, SRAConfig
-from repro.cluster import ClusterState, ExchangeLedger
+from repro.cluster import ClusterState
 from repro.cluster.exchange import ReturnPolicy
+from repro.core.episode import run_episode
 from repro.core.report import RebalanceReport
 from repro.metrics import imbalance_report, summarize_plan
 from repro.migration import BandwidthModel
@@ -89,43 +91,33 @@ class ResourceExchangeRebalancer:
             shards=state.num_shards,
             exchange_machines=self.exchange_machines,
             required_returns=self.required_returns,
-        ) as episode:
-            with o.tracer.span("exchange.borrow", requested=self.exchange_machines):
-                loaners = make_exchange_machines(
+        ) as span:
+            ep = run_episode(
+                state,
+                self.algorithm,
+                make_exchange_machines(
                     state,
                     self.exchange_machines,
                     capacity_scale=self.exchange_capacity_scale,
-                )
-                grown, ledger = ExchangeLedger.borrow(
-                    state,
-                    loaners,
-                    required_returns=self.required_returns,
-                    policy=self.return_policy,
-                )
-            with o.tracer.span("search", algorithm=self.algorithm.name):
-                result = self.algorithm.rebalance(grown, ledger)
-
+                ),
+                required_returns=self.required_returns,
+                policy=self.return_policy,
+            )
+            result = ep.result
             with o.tracer.span("evaluate"):
-                final = grown.copy()
-                final.apply_assignment(result.target_assignment)
-                before = imbalance_report(grown)
-                after = imbalance_report(final)
+                before = imbalance_report(ep.grown)
+                after = imbalance_report(ep.final)
                 migration = summarize_plan(
-                    result.plan, grown.num_machines, self.bandwidth
+                    result.plan, ep.grown.num_machines, self.bandwidth
                 )
-            exchanged = (
-                len(result.settlement.retained_borrowed_ids)
-                if result.settlement is not None
-                else 0
-            )
-            returned = (
-                len(result.settlement.returned_ids)
-                if result.settlement is not None
-                else 0
-            )
-            episode.set("feasible", result.feasible)
-            episode.set("peak_before", before.peak_utilization)
-            episode.set("peak_after", after.peak_utilization)
+            settlement = result.settlement
+            exchanged = returned = 0
+            if settlement is not None:
+                exchanged = len(settlement.retained_borrowed_ids)
+                returned = len(settlement.returned_ids)
+            span.set("feasible", result.feasible)
+            span.set("peak_before", before.peak_utilization)
+            span.set("peak_after", after.peak_utilization)
 
         if o.metrics.enabled:
             m = o.metrics
@@ -136,16 +128,17 @@ class ResourceExchangeRebalancer:
             m.gauge("episode.peak_after").set(after.peak_utilization)
             m.gauge("episode.makespan_seconds").set(migration.makespan_seconds)
             m.histogram("episode.machine_utilization", UTILIZATION_EDGES).observe_many(
-                final.machine_peak_utilization().tolist()
+                ep.final.machine_peak_utilization().tolist()
             )
         return RebalanceReport(
             result=result,
             before=before,
             after=after,
             migration=migration,
-            borrowed=len(loaners),
+            borrowed=len(ep.loaners),
             returned=returned,
             exchanged=exchanged,
+            final=ep.final,
             trace=o.tracer.records() if o.tracer.enabled else None,
             metrics=o.metrics.to_dict() if o.metrics.enabled else None,
         )

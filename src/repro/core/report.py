@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.algorithms import RebalanceResult
+from repro.cluster import ClusterState
 from repro.metrics import ImbalanceReport, MigrationSummary
 
 __all__ = ["RebalanceReport"]
@@ -30,6 +31,9 @@ class RebalanceReport:
         Number of borrowed machines *retained* in service (an equal
         number of drained in-service machines was returned instead) —
         the headline number of the resource-exchange idea.
+    final:
+        The augmented fleet (borrowed machines included) with the target
+        assignment applied — what ``repro run --out`` saves.
     trace / metrics:
         Machine-readable run artifacts — the episode's trace records
         (``repro.obs.Tracer.records()`` format) and metrics snapshot
@@ -44,6 +48,7 @@ class RebalanceReport:
     borrowed: int
     returned: int
     exchanged: int
+    final: ClusterState = field(repr=False, compare=False)
     trace: list[dict[str, Any]] | None = None
     metrics: dict[str, Any] | None = None
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from repro.algorithms import AlnsConfig, SRA, SRAConfig
-from repro.cluster import ClusterState, ExchangeLedger
+from repro.cluster import ClusterState
+from repro.core import run_episode
 from repro.workloads import make_exchange_machines
 
 __all__ = ["make_sra", "run_sra_with_exchange", "scenario_instance"]
@@ -42,10 +43,10 @@ def run_sra_with_exchange(
     **sra_kwargs,
 ):
     """Borrow *budget* machines, run SRA, return (result, grown, ledger)."""
-    grown, ledger = ExchangeLedger.borrow(
+    episode = run_episode(
         state,
+        make_sra(iterations, seed, **sra_kwargs),
         make_exchange_machines(state, budget),
         required_returns=required_returns,
     )
-    result = make_sra(iterations, seed, **sra_kwargs).rebalance(grown, ledger)
-    return result, grown, ledger
+    return episode.result, episode.grown, episode.ledger

@@ -3,8 +3,9 @@
 The paper's operational model implies an entity that owns the vacant
 machines: clusters borrow from a **shared pool**, rebalance, and hand
 back compensation machines.  :class:`MachinePool` is that entity — a
-machine inventory with lend/settle bookkeeping — and
-:func:`rebalance_with_pool` is a full episode against it:
+machine inventory with lend/settle bookkeeping — :func:`lend_episode`
+runs one exchange episode on machines lent from it, and
+:func:`rebalance_with_pool` is that episode with an audit record:
 
 1. lend ``B`` machines to the cluster,
 2. run the rebalancer,
@@ -20,15 +21,17 @@ the long-run effect of the paper's exchange, measured in E17.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from repro._validation import check_non_negative
 from repro.algorithms import RebalanceResult, Rebalancer
-from repro.cluster import ClusterState, ExchangeLedger, Machine, settle_fleet
+from repro.cluster import ClusterState, Machine
 from repro.cluster.exchange import ReturnPolicy
+from repro.core import Episode, run_episode
 
-__all__ = ["MachinePool", "PoolEpisode", "rebalance_with_pool"]
+__all__ = ["MachinePool", "PoolEpisode", "lend_episode", "rebalance_with_pool"]
 
 
 class MachinePool:
@@ -108,6 +111,32 @@ class PoolEpisode:
     pool_capacity_after: tuple[float, ...] = field(default_factory=tuple)
 
 
+def lend_episode(
+    pool: MachinePool,
+    state: ClusterState,
+    rebalancer: Any,
+    count: int,
+    *,
+    required_returns: int | None = None,
+    policy: ReturnPolicy = "count",
+    warm_start: np.ndarray | None = None,
+) -> Episode:
+    """One :func:`~repro.core.run_episode` on *count* machines lent from
+    *pool*, which takes back what the episode gives back: every lent
+    machine if it is infeasible, the returned machines if it settles."""
+    lent = pool.lend(count)
+    episode = run_episode(
+        state,
+        rebalancer,
+        lent,
+        required_returns=required_returns,
+        policy=policy,
+        warm_start=warm_start,
+    )
+    pool.accept(episode.returned_machines)
+    return episode
+
+
 def rebalance_with_pool(
     pool: MachinePool,
     state: ClusterState,
@@ -125,41 +154,20 @@ def rebalance_with_pool(
     episode the lent machines go straight back and the input state is
     returned unchanged.
     """
-    lent = pool.lend(budget)
-    grown, ledger = ExchangeLedger.borrow(state, lent, policy=policy)
-    result = rebalancer.rebalance(grown, ledger)
-    if not result.feasible:
-        pool.accept(lent)
-        pool.history.append(
-            PoolEpisode(
-                cluster_label=label,
-                lent=budget,
-                returned=budget,
-                exchanged=0,
-                feasible=False,
-                peak_before=state.peak_utilization(),
-                peak_after=state.peak_utilization(),
-                pool_size_after=pool.size,
-                pool_capacity_after=tuple(pool.total_capacity()),
-            )
-        )
-        return state.copy(), result
-
-    final = grown.copy()
-    final.apply_assignment(result.target_assignment)
-    slim, settlement, returned_machines = settle_fleet(final, ledger)
-    pool.accept(returned_machines)
+    episode = lend_episode(pool, state, rebalancer, budget, policy=policy)
+    feasible = episode.feasible
+    slim = episode.settled if feasible else state.copy()
     pool.history.append(
         PoolEpisode(
             cluster_label=label,
             lent=budget,
-            returned=len(returned_machines),
-            exchanged=len(settlement.retained_borrowed_ids),
-            feasible=True,
+            returned=len(episode.returned_machines),
+            exchanged=len(episode.settlement.retained_borrowed_ids) if feasible else 0,
+            feasible=feasible,
             peak_before=state.peak_utilization(),
             peak_after=slim.peak_utilization(),
             pool_size_after=pool.size,
             pool_capacity_after=tuple(pool.total_capacity()),
         )
     )
-    return slim, result
+    return slim, episode.result

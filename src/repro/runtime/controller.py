@@ -31,25 +31,18 @@ state is auditable from the obs stream it feeds on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro._validation import check_fraction, check_positive
-from repro.cluster import (
-    ClusterState,
-    ExchangeLedger,
-    ExchangePoolManager,
-    PoolDecision,
-    PoolSizingPolicy,
-)
+from repro.cluster import ClusterState, ExchangePoolManager, PoolSizingPolicy
+from repro.core import Episode, run_episode
+from repro.pool import MachinePool, lend_episode
 from repro.runtime.kernel import Runtime
 from repro.runtime.processes import ClusterHandle, EpisodeOutcome, RebalanceController
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cluster.machine import Machine
-    from repro.pool import MachinePool
+from repro.workloads import make_exchange_machines
 
 __all__ = [
     "DriftDetectorConfig",
@@ -185,7 +178,7 @@ class IncrementalRebalanceController(RebalanceController):
         *,
         detector: Optional[EwmaDriftDetector] = None,
         detector_config: Optional[DriftDetectorConfig] = None,
-        pool: "Optional[MachinePool]" = None,
+        pool: Optional[MachinePool] = None,
         pool_policy: Optional[PoolSizingPolicy] = None,
         **kwargs: Any,
     ) -> None:
@@ -205,8 +198,6 @@ class IncrementalRebalanceController(RebalanceController):
         self.pool_manager = (
             ExchangePoolManager(pool_policy) if pool is not None else None
         )
-        self._lent: List["Machine"] = []
-        self._decision: Optional[PoolDecision] = None
 
     # ----------------------------------------------------------------- policy
     def maybe_rebalance(self, rt: Runtime) -> EpisodeOutcome:
@@ -233,59 +224,44 @@ class IncrementalRebalanceController(RebalanceController):
             # The pool policy is a second trigger: a round must also run
             # when the loan should grow (overload) or shrink (release) —
             # releases in particular happen when the detector is quiet.
-            self._decision = self.pool_manager.check(
-                peak=peak, available=self.pool.size
-            )
-            fire = fire or self._decision.borrow > 0 or self._decision.release > 0
-            if not fire:
-                self._decision = None  # round not taken; don't reuse it later
+            # This check is the control round that advances the pool's
+            # hold clock; the episode re-reads the same verdict.
+            decision = self.pool_manager.check(peak=peak, available=self.pool.size)
+            fire = fire or decision.borrow > 0 or decision.release > 0
         return fire
 
     # ---------------------------------------------------------------- episode
-    def _open_episode(self, current: ClusterState) -> tuple[ClusterState, ExchangeLedger]:
-        if self.pool is None or self.pool_manager is None:
-            return super()._open_episode(current)
-        if self._decision is None:
-            # Direct rebalance_now call (no gated check preceded it).
-            self._decision = self.pool_manager.check(
-                peak=current.peak_utilization(), available=self.pool.size
-            )
-        decision = self._decision
-        self._lent = self.pool.lend(decision.borrow) if decision.borrow else []
-        # Borrowed machines become ordinary fleet members until the
-        # policy releases them: nothing is owed at this settlement.
-        # A release round borrows nothing and owes `release` vacancies,
-        # which settle_fleet hands back to the pool via _on_settled.
-        return ExchangeLedger.borrow(
-            current, self._lent, required_returns=decision.release
-        )
-
-    def _solve(self, grown: ClusterState, ledger: ExchangeLedger) -> Any:
-        if self.location is not None and self.execution == "simulated":
+    def _run_episode(self, current: ClusterState) -> Episode:
+        if self.execution == "simulated":
             warm = np.asarray(self.location, dtype=np.int64).copy()
         else:
-            warm = grown.assignment
-        return self.rebalancer.rebalance(grown, ledger, warm_start=warm)
-
-    def _on_infeasible(self, ledger: ExchangeLedger) -> None:
+            warm = current.assignment
         if self.pool is None or self.pool_manager is None:
-            return
-        # The loan never joined the fleet: hand it straight back.
-        if self._lent:
-            self.pool.accept(self._lent)
-        assert self._decision is not None
-        self.pool_manager.note(self._decision, borrowed=0, released=0)
-        self._lent = []
-        self._decision = None
-
-    def _on_settled(self, settlement: Any, returned: List[Any]) -> None:
-        if self.pool is None or self.pool_manager is None:
-            return
-        if returned:
-            self.pool.accept(returned)
-        assert self._decision is not None
-        self.pool_manager.note(
-            self._decision, borrowed=len(self._lent), released=len(returned)
+            return run_episode(
+                current,
+                self.rebalancer,
+                make_exchange_machines(current, self.exchange_budget),
+                warm_start=warm,
+            )
+        decision = self.pool_manager.decide(
+            peak=current.peak_utilization(), available=self.pool.size
         )
-        self._lent = []
-        self._decision = None
+        # Borrowed machines become ordinary fleet members until the
+        # policy releases them: nothing is owed at this settlement.  A
+        # release round borrows nothing and owes `release` vacancies.
+        episode = lend_episode(
+            self.pool,
+            current,
+            self.rebalancer,
+            decision.borrow,
+            required_returns=decision.release,
+            warm_start=warm,
+        )
+        # An infeasible loan never joined the fleet (the pool has it back).
+        done = episode.feasible
+        self.pool_manager.note(
+            decision,
+            borrowed=len(episode.loaners) if done else 0,
+            released=len(episode.returned_machines) if done else 0,
+        )
+        return episode

@@ -18,7 +18,8 @@ import numpy as np
 
 from repro import obs
 from repro._validation import check_in, check_non_negative, check_positive
-from repro.cluster import ClusterState, ExchangeLedger, settle_fleet
+from repro.cluster import ClusterState
+from repro.core import Episode, run_episode
 from repro.migration.costmodel import BandwidthModel
 from repro.runtime.kernel import Runtime
 from repro.runtime.machines import ServingFleet
@@ -254,26 +255,19 @@ class RebalanceController:
         return self.rebalance_now(rt, peak_before=peak)
 
     # ---------------------------------------------------------------- episode
-    def _open_episode(self, current: ClusterState) -> tuple[ClusterState, ExchangeLedger]:
-        """Borrow for one episode (subclass hook: pool-sized loans)."""
-        return ExchangeLedger.borrow(
-            current, make_exchange_machines(current, self.exchange_budget)
+    def _run_episode(self, current: ClusterState) -> Episode:
+        """Borrow ``exchange_budget`` machines and solve (the incremental
+        controller warm-starts and lends from its pool instead)."""
+        return run_episode(
+            current,
+            self.rebalancer,
+            make_exchange_machines(current, self.exchange_budget),
         )
-
-    def _solve(self, grown: ClusterState, ledger: ExchangeLedger) -> Any:
-        """Run the rebalancer (subclass hook: warm-started solves)."""
-        return self.rebalancer.rebalance(grown, ledger)
-
-    def _on_infeasible(self, ledger: ExchangeLedger) -> None:
-        """Subclass hook: undo episode borrowing after an infeasible solve."""
-
-    def _on_settled(self, settlement: Any, returned: List[Any]) -> None:
-        """Subclass hook: route instantly-settled returns (e.g. to a pool)."""
 
     def rebalance_now(self, rt: Runtime, *, peak_before: float) -> EpisodeOutcome:
         current = self.handle.state
-        grown, ledger = self._open_episode(current)
-        result = self._solve(grown, ledger)
+        episode = self._run_episode(current)
+        result = episode.result
         record: Dict[str, Any] = {
             "time": rt.now,
             "peak_before": peak_before,
@@ -294,42 +288,28 @@ class RebalanceController:
                 feasible=bool(result.feasible),
             )
         if not result.feasible:
-            self._on_infeasible(ledger)
             return EpisodeOutcome(attempted=True, feasible=False)
+        plan = result.plan
+        record["moves"] = moves = result.num_moves
         if self.execution == "instant":
-            final = grown.copy()
-            final.apply_assignment(result.target_assignment)
-            settled, settlement, returned = settle_fleet(final, ledger)
-            self.handle.state = settled
-            self._on_settled(settlement, returned)
-            moved_bytes = (
-                result.plan.schedule.total_bytes() if result.plan else 0.0
-            )
-            record.update(
-                moves=result.num_moves,
-                bytes_moved=moved_bytes,
-                completed_at=rt.now,
-            )
+            self.handle.state = episode.settled
+            moved_bytes = plan.schedule.total_bytes() if plan else 0.0
+            record.update(bytes_moved=moved_bytes, completed_at=rt.now)
             self._last_completed = rt.now
             return EpisodeOutcome(
-                attempted=True,
-                feasible=True,
-                moves=result.num_moves,
-                bytes_moved=moved_bytes,
+                attempted=True, feasible=True, moves=moves, bytes_moved=moved_bytes
             )
         # Simulated: hand the plan's waves to an executor on the clock.
         assert self.fleet is not None and self.location is not None
-        if result.plan is None or not result.plan.schedule.waves:
+        if plan is None or not plan.schedule.waves:
             # Nothing to move: the episode completes at the decision instant.
-            self.handle.state = self.handle.state.copy()
-            self.handle.state.apply_assignment(result.target_assignment)
-            record.update(moves=result.num_moves, completed_at=rt.now)
-            self._last_completed = rt.now
-            return EpisodeOutcome(attempted=True, feasible=True, moves=result.num_moves)
+            self.handle.state = episode.final
+            record["completed_at"] = self._last_completed = rt.now
+            return EpisodeOutcome(attempted=True, feasible=True, moves=moves)
         self._in_flight = True
         self._pending_target = np.asarray(result.target_assignment, dtype=np.int64)
-        executor = MigrationExecutor(
-            schedule=result.plan.schedule,
+        self._executor = MigrationExecutor(
+            schedule=plan.schedule,
             fleet=self.fleet,
             location=self.location,
             loads=current.loads.copy(),
@@ -340,12 +320,9 @@ class RebalanceController:
             start_at=rt.now,
             on_complete=self._complete,
         )
-        self._executor = executor
-        record.update(moves=result.num_moves, waves=len(result.plan.schedule.waves))
-        rt.add(executor)
-        return EpisodeOutcome(
-            attempted=True, feasible=True, moves=result.num_moves, in_flight=True
-        )
+        record["waves"] = len(plan.schedule.waves)
+        rt.add(self._executor)
+        return EpisodeOutcome(attempted=True, feasible=True, moves=moves, in_flight=True)
 
     def _complete(self, rt: Runtime) -> None:
         assert self._executor is not None and self._pending_target is not None

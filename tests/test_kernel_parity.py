@@ -3,13 +3,13 @@
 Two contracts pin the vectorized repair kernel (see the "Delta
 evaluation contract" in docs/ARCHITECTURE.md):
 
-* The delta-evaluated engine — SoA score kernel, journal transactions,
+* The delta-evaluated engine — SoA score kernel, snapshot transactions,
   incremental objective with ``cross_check`` asserting every term
   against a from-scratch recompute — walks the exact trajectory of the
   copy-based reference engine.
 * The pruned regret-2 path produces bitwise-identical placements to the
-  exact full-repartition path on arbitrary instances, so the
-  ``regret2_exact_max`` gate is a pure performance crossover.
+  exact full-repartition path on arbitrary instances, so the size gate
+  (``repair._EXACT_REGRET_MAX``) is a pure performance crossover.
 """
 
 import numpy as np

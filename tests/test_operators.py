@@ -9,7 +9,6 @@ from repro.algorithms import (
     AlnsConfig,
     AlnsEngine,
     Objective,
-    Regret2Insertion,
     greedy_best_fit,
     random_removal,
     regret2_insertion,
@@ -18,7 +17,7 @@ from repro.algorithms import (
     worst_machine_removal,
 )
 from repro.algorithms.destroy import DEFAULT_DESTROY_OPS
-from repro.algorithms.repair import DEFAULT_REPAIR_OPS
+from repro.algorithms.repair import DEFAULT_REPAIR_OPS, _regret2_exact, _regret2_pruned
 from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads import SyntheticConfig, generate
 
@@ -135,14 +134,25 @@ class TestRepairOperators:
         assert work.peak_utilization() <= state.peak_utilization() + 1e-9
 
 
+def _exact_regret2(state, rng, removed):
+    if len(removed):
+        _regret2_exact(state, list(removed))
+
+
+def _pruned_regret2(state, rng, removed):
+    if len(removed):
+        _regret2_pruned(state, list(removed))
+
+
+# Engine weight keys and traces use the operator name.
+_exact_regret2.__name__ = _pruned_regret2.__name__ = "regret2_insertion"
+
+
 class TestRegret2Gate:
     """The exact/pruned size gate is a pure performance crossover: both
     paths must produce bitwise-identical placements (and therefore
-    bitwise-identical engine trajectories)."""
-
-    def test_invalid_exact_max_rejected(self):
-        with pytest.raises(ValueError, match="exact_max"):
-            Regret2Insertion(0)
+    bitwise-identical engine trajectories).  The tests call the two
+    paths directly, whatever the fleet size."""
 
     @pytest.mark.parametrize("seed", [0, 5, 11])
     def test_pruned_matches_exact_operator_level(self, seed):
@@ -152,10 +162,8 @@ class TestRegret2Gate:
         exact_state, pruned_state = state.copy(), state.copy()
         removed = random_removal(exact_state, np.random.default_rng(seed), 25)
         pruned_state.unassign_many(removed)
-        # exact_max=1 forces the pruned path at every size; a huge gate
-        # forces the exact path.
-        Regret2Insertion(exact_max=10**9)(exact_state, rng(), removed)
-        Regret2Insertion(exact_max=1)(pruned_state, rng(), removed)
+        _exact_regret2(exact_state, rng(), removed)
+        _pruned_regret2(pruned_state, rng(), removed)
         np.testing.assert_array_equal(
             exact_state.assignment, pruned_state.assignment
         )
@@ -172,8 +180,8 @@ class TestRegret2Gate:
         state.unassign_many(removed)
         state.block_machine(7)
         exact_state, pruned_state = state.copy(), state.copy()
-        Regret2Insertion(exact_max=10**9)(exact_state, rng(), removed)
-        Regret2Insertion(exact_max=1)(pruned_state, rng(), removed)
+        _exact_regret2(exact_state, rng(), removed)
+        _pruned_regret2(pruned_state, rng(), removed)
         np.testing.assert_array_equal(
             exact_state.assignment, pruned_state.assignment
         )
@@ -183,26 +191,31 @@ class TestRegret2Gate:
             SyntheticConfig(num_machines=30, shards_per_machine=5, seed=2)
         )
         results = []
-        for gate in (1, 10**9):
-            cfg = AlnsConfig(iterations=120, seed=7, regret2_exact_max=gate)
-            engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, DEFAULT_REPAIR_OPS)
+        for regret2 in (_pruned_regret2, _exact_regret2):
+            cfg = AlnsConfig(iterations=120, seed=7)
+            engine = AlnsEngine(cfg, DEFAULT_DESTROY_OPS, (greedy_best_fit, regret2))
             obj = Objective(state.assignment, state.sizes)
             results.append(engine.run(state.copy(), obj))
         pruned, exact = results
         assert repr(pruned.best_objective) == repr(exact.best_objective)
         assert pruned.accepted == exact.accepted
         assert pruned.history == exact.history
+        assert pruned.operator_weights == exact.operator_weights
         np.testing.assert_array_equal(pruned.best_assignment, exact.best_assignment)
 
-    def test_bind_resolves_gate_from_config(self):
-        bound = regret2_insertion.bind(AlnsConfig(regret2_exact_max=7))
-        assert bound.exact_max == 7
-        assert bound is not regret2_insertion  # default instance untouched
-        assert regret2_insertion.exact_max is None
+    def test_default_portfolio_gates_on_fleet_size(self, monkeypatch):
+        """``regret2_insertion`` picks the path from the machine count."""
+        from repro.algorithms import repair
 
-    def test_explicit_gate_wins_over_config(self):
-        op = Regret2Insertion(exact_max=3)
-        assert op.bind(AlnsConfig(regret2_exact_max=500)) is op
+        calls = []
+        monkeypatch.setattr(repair, "_regret2_exact", lambda s, r: calls.append("exact"))
+        monkeypatch.setattr(repair, "_regret2_pruned", lambda s, r: calls.append("pruned"))
+        for m in (repair._EXACT_REGRET_MAX, repair._EXACT_REGRET_MAX + 1):
+            state = ClusterState(Machine.homogeneous(m, 10.0), Shard.uniform(2, 1.0))
+            regret2_insertion(state, rng(), [0, 1])
+        assert calls == ["exact", "pruned"]
+        assert regret2_insertion.__name__ == "regret2_insertion"
+        assert regret2_insertion in DEFAULT_REPAIR_OPS
 
 
 @given(seed=st.integers(min_value=0, max_value=100), q=st.integers(min_value=1, max_value=20))

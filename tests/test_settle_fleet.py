@@ -1,5 +1,7 @@
 """Direct tests for settle_fleet (fleet projection after an episode)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,72 @@ class TestSettleFleet:
         grown.move(0, 3)  # no vacant machine anywhere
         with pytest.raises(Exception, match="vacant"):
             settle_fleet(grown, ledger)
+
+
+def degraded():
+    """Five machines: 1 offline, 3 blocked (both vacant, 3 the smallest),
+    shards on 0, 2, 4."""
+    machines = Machine.homogeneous(5, 10.0)
+    machines[3] = replace(machines[3], capacity=machines[3].capacity / 2)
+    shards = Shard.uniform(6, 1.0)
+    state = ClusterState(machines, shards, [0, 2, 4, 0, 2, 4])
+    state.set_offline(1)
+    state.block_machine(3)
+    return state
+
+
+def constructed(machines, state, assignment):
+    """The same fleet rebuilt from descriptions, as the constructor does."""
+    return ClusterState(
+        [m.with_id(i) for i, m in enumerate(machines)], list(state.shards), assignment
+    )
+
+
+def assert_same_caches(got, want):
+    for name in ("assignment", "loads", "capacity", "exchange_mask"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.machine_peak_utilization().tobytes() == want.machine_peak_utilization().tobytes()
+    assert got.shard_counts().tobytes() == want.shard_counts().tobytes()
+    assert got.machines == want.machines
+
+
+class TestFleetMasks:
+    """Borrowing and settling carry the offline and blocked masks, and the
+    rebuilt caches are bitwise what the constructor would compute."""
+
+    def test_borrow_keeps_masks(self):
+        state = degraded()
+        loaners = make_exchange_machines(state, 2)
+        grown, _ = ExchangeLedger.borrow(state, loaners)
+        assert grown.offline_mask.tolist() == [False, True, False, False, False, False, False]
+        assert grown.blocked_mask.tolist() == [False, True, False, True, False, False, False]
+        assert grown.num_vacant_in_service == 3
+        grown.validate()
+        assert_same_caches(
+            grown, constructed(list(state.machines) + loaners, state, state.assignment)
+        )
+
+    def test_settle_keeps_masks(self):
+        state = degraded()
+        grown, ledger = ExchangeLedger.borrow(state, make_exchange_machines(state, 2))
+        # Drain machine 4 onto the loaner 5: machine 4 is returned with
+        # loaner 6, and the offline/blocked machines keep their flags.
+        for j in grown.machine_shards(4).tolist():
+            grown.move(j, 5)
+        slim, settlement, returned = settle_fleet(grown, ledger)
+        assert settlement.returned_ids == (6, 4)
+        assert slim.offline_mask.tolist() == [False, True, False, False, False]
+        assert slim.blocked_mask.tolist() == [False, True, False, True, False]
+        slim.validate()
+        keep = [0, 1, 2, 3, 5]
+        assert_same_caches(
+            slim,
+            constructed(
+                [grown.machines[i] for i in keep], state, [0, 2, 4, 0, 2, 4]
+            ),
+        )
+        assert [m.id for m in returned] == [6, 4]
+
+    def test_machines_hosting_shards_cannot_be_removed(self):
+        with pytest.raises(ValueError, match="host shards"):
+            degraded().without_machines([0])

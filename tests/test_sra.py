@@ -42,7 +42,7 @@ class TestAlnsConfig:
             {"cooling": 1.5},
             {"segment_length": 0},
             {"reaction": 1.5},
-            {"regret2_exact_max": 0},
+            {"removal_cap": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -5,8 +5,7 @@ back rejected candidates, so these tests pin the contract the search
 relies on (docs/ARCHITECTURE.md, "Delta evaluation contract"):
 
 * rollback restores every observable — assignment, loads, counts, peak
-  cache, vacancy, blocking, replica conflicts — **bitwise**, in both
-  snapshot and journal modes;
+  cache, vacancy, blocking, replica conflicts — **bitwise**;
 * commit keeps the mutation and leaves every incremental cache equal to
   a from-scratch recomputation (``validate()`` audits all of them);
 * real destroy/repair operator pairs ride transactions cleanly.
@@ -23,7 +22,9 @@ from repro.cluster import ClusterState, Machine, Shard
 from repro.workloads.replicated import ReplicatedConfig, generate_replicated
 from repro.workloads.synthetic import SyntheticConfig, generate
 
-MODES = ("snapshot", "journal")
+#: Transaction modes under test.  The array snapshot is the only one
+#: left; the parametrisation keeps the test ids stable.
+MODES = ("snapshot",)
 
 
 def synthetic_state(seed=0, m=8, spm=5):
@@ -97,7 +98,7 @@ class TestTransactionBasics:
         before = observables(state)
         shard = int(np.flatnonzero(state.assignment_view() >= 0)[0])
         other = (state.machine_of(shard) + 1) % state.num_machines
-        state.begin(mode=mode)
+        state.begin()
         state.move(shard, other)
         state.unassign(shard + 1)
         state.assign_shard(shard + 1, other)
@@ -110,7 +111,7 @@ class TestTransactionBasics:
         state = synthetic_state()
         shard = int(np.flatnonzero(state.assignment_view() >= 0)[0])
         other = (state.machine_of(shard) + 1) % state.num_machines
-        state.begin(mode=mode)
+        state.begin()
         state.move(shard, other)
         state.commit()
         assert state.machine_of(shard) == other
@@ -147,7 +148,7 @@ class TestTransactionBasics:
     def test_blocking_rolls_back(self, mode):
         state = synthetic_state()
         before = observables(state)
-        state.begin(mode=mode)
+        state.begin()
         state.unassign_many([int(j) for j in state.machine_shards(0)])
         state.block_machine(0)
         state.unassign_many([int(j) for j in state.machine_shards(1)])
@@ -167,7 +168,7 @@ class TestOperatorTransactions:
             before = observables(state)
             destroy = DEFAULT_DESTROY_OPS[round_idx % len(DEFAULT_DESTROY_OPS)]
             repair = DEFAULT_REPAIR_OPS[round_idx % len(DEFAULT_REPAIR_OPS)]
-            state.begin(mode=mode)
+            state.begin()
             removed = destroy(state, rng, int(rng.integers(1, 8)))
             repair(state, rng, removed)
             if round_idx % 3 == 0:
@@ -186,7 +187,7 @@ class TestOperatorTransactions:
         state.block_machine(2)
         before = observables(state)
         rng = np.random.default_rng(3)
-        state.begin(mode=mode)
+        state.begin()
         removed = exchange_swap_removal(state, rng, 4)
         DEFAULT_REPAIR_OPS[0](state, rng, removed)
         state.rollback()
@@ -198,16 +199,15 @@ class TestJournalProperties:
     @given(
         seed=st.integers(0, 30),
         ops=st.lists(st.integers(0, 99), min_size=1, max_size=25),
-        mode=st.sampled_from(MODES),
     )
     @settings(max_examples=60, deadline=None)
-    def test_random_mutation_sequences_roll_back(self, seed, ops, mode):
+    def test_random_mutation_sequences_roll_back(self, seed, ops):
         machines = Machine.homogeneous(4, 12.0)
         shards = Shard.uniform(10, 1.0)
         state = ClusterState(machines, shards, [j % 4 for j in range(10)])
         rng = np.random.default_rng(seed)
         before = observables(state)
-        state.begin(mode=mode)
+        state.begin()
         for code in ops:
             j = int(rng.integers(state.num_shards))
             i = int(rng.integers(state.num_machines))
@@ -230,15 +230,12 @@ class TestJournalProperties:
         assert_observables_equal(observables(state), before)
         state.validate()
 
-    @given(
-        seed=st.integers(0, 30),
-        mode=st.sampled_from(MODES),
-    )
+    @given(seed=st.integers(0, 30))
     @settings(max_examples=30, deadline=None)
-    def test_committed_caches_match_rebuild(self, seed, mode):
+    def test_committed_caches_match_rebuild(self, seed):
         state = replicated_state(seed=seed % 5)
         rng = np.random.default_rng(seed)
-        state.begin(mode=mode)
+        state.begin()
         for _ in range(15):
             j = int(rng.integers(state.num_shards))
             i = int(rng.integers(state.num_machines))
