@@ -22,6 +22,26 @@ __all__ = ["to_dict", "from_dict", "save_json", "load_json", "SNAPSHOT_VERSION"]
 
 SNAPSHOT_VERSION = 1
 
+_ID_MIN, _ID_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _as_id(value: Any, what: str) -> int:
+    """*value* as an int64 id; booleans, floats and other non-integers
+    (JSON ``true``, ``1.7``, ``1e308``) and out-of-range integers
+    (``2**70``) raise ``ValueError`` rather than being truncated."""
+    # ``type(...) is int`` also turns away bool, a subclass of int.
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if not _ID_MIN <= value <= _ID_MAX:
+        raise ValueError(f"{what} {value} is outside int64")
+    return int(value)
+
+
+def _as_ids(values: Any, what: str) -> list[int]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list, got {type(values).__name__}")
+    return [_as_id(v, what) for v in values]
+
 
 def to_dict(state: ClusterState) -> dict[str, Any]:
     """Serialize *state* to a JSON-compatible dict."""
@@ -60,7 +80,7 @@ def from_dict(data: dict[str, Any]) -> ClusterState:
     schema = ResourceSchema(tuple(data["schema"]))
     machines = [
         Machine(
-            id=int(m["id"]),
+            id=_as_id(m["id"], "machine id"),
             capacity=np.asarray(m["capacity"], dtype=np.float64),
             schema=schema,
             cls=str(m.get("cls", "default")),
@@ -70,21 +90,23 @@ def from_dict(data: dict[str, Any]) -> ClusterState:
     ]
     shards = [
         Shard(
-            id=int(s["id"]),
+            id=_as_id(s["id"], "shard id"),
             demand=np.asarray(s["demand"], dtype=np.float64),
             schema=schema,
             size_bytes=float(s.get("size_bytes", -1.0)),
-            replica_of=int(s.get("replica_of", -1)),
+            replica_of=_as_id(s.get("replica_of", -1), "shard replica_of"),
         )
         for s in data["shards"]
     ]
-    state = ClusterState(machines, shards, data["assignment"])
+    state = ClusterState(
+        machines, shards, _as_ids(data["assignment"], "assignment machine id")
+    )
     # Older snapshots (pre scenario registry) carry no mask fields; both
     # default to empty so they round-trip unchanged.
-    for machine_id in data.get("offline", []):
-        state.set_offline(int(machine_id))
-    for machine_id in data.get("blocked", []):
-        state.block_machine(int(machine_id))
+    for machine_id in _as_ids(data.get("offline", []), "offline machine id"):
+        state.set_offline(machine_id)
+    for machine_id in _as_ids(data.get("blocked", []), "blocked machine id"):
+        state.block_machine(machine_id)
     return state
 
 

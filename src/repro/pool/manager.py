@@ -66,6 +66,9 @@ class MachinePool:
         check_non_negative("count", count)
         if count > self.size:
             raise ValueError(f"pool holds {self.size} machines, cannot lend {count}")
+        if count == 0:
+            # Lending nothing leaves the inventory (and its order) as is.
+            return []
         # Lend the largest machines first — they are the most useful as
         # staging hosts and packing targets.
         self._machines.sort(key=lambda m: -float(m.capacity.sum()))

@@ -12,8 +12,9 @@ Layers
 :mod:`repro.runtime.kernel`
     ``SimClock`` + ``EventQueue`` + the :class:`Process` protocol.
 :mod:`repro.runtime.machines`
-    Piecewise-constant-speed FCFS serving machines (analytic between
-    speed changes; bit-for-bit the legacy loop at constant speed).
+    Piecewise-constant-speed FCFS serving machines held as arrays, one
+    vectorised fan-out per query (analytic between speed changes;
+    bit-for-bit the per-task loop).
 :mod:`repro.runtime.serving`
     :class:`QueryArrivalProcess` — replays arrival traces against the
     fleet through the live shard→machine map.
@@ -42,7 +43,7 @@ from repro.runtime.controller import (
     IncrementalRebalanceController,
 )
 from repro.runtime.kernel import EventQueue, Process, Runtime, SimClock
-from repro.runtime.machines import FCFSMachine, QueryRecord, ServingFleet
+from repro.runtime.machines import FCFSMachine, ServingFleet
 from repro.runtime.migration import MigrationExecutor
 from repro.runtime.processes import (
     ClusterHandle,
@@ -58,7 +59,6 @@ __all__ = [
     "EventQueue",
     "Process",
     "Runtime",
-    "QueryRecord",
     "FCFSMachine",
     "ServingFleet",
     "QueryArrivalProcess",

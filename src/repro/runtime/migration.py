@@ -130,7 +130,7 @@ class MigrationExecutor:
             self.peak_transient_utilization = peak
         if self.fleet is not None and duration > 0:
             for m in np.flatnonzero(busy > 0):
-                machine = self.fleet.machines[int(m)]
+                machine = self.fleet[int(m)]
                 machine.set_derate(now, self.transfer_overhead)
                 if busy[m] < duration:
                     # NIC drains before the wave barrier: restore early.
@@ -159,8 +159,8 @@ class MigrationExecutor:
             self.bytes_transferred += mv.bytes
         if self.fleet is not None:
             for mv in wave:
-                self.fleet.machines[mv.src].clear_derate(rt.now)
-                self.fleet.machines[mv.dst].clear_derate(rt.now)
+                self.fleet[mv.src].clear_derate(rt.now)
+                self.fleet[mv.dst].clear_derate(rt.now)
         o = obs.current()
         if o.tracer.enabled:
             o.tracer.event(

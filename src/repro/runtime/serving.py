@@ -2,11 +2,12 @@
 
 A :class:`QueryArrivalProcess` replays a prepared arrival schedule
 (arrival times plus sampled profile rows) against a
-:class:`~repro.runtime.machines.ServingFleet`.  Each arrival fans one
-task per cluster shard out to the machine *currently hosting* that shard
-— the shard→machine array is shared with the migration executor, so a
-shard starts serving from its destination the instant its copy lands,
-rather than being window-averaged.
+:class:`~repro.runtime.machines.ServingFleet`.  Each arrival is one
+:meth:`~repro.runtime.machines.ServingFleet.fan_out` call, which
+enqueues one task per cluster shard on the machine *currently hosting*
+that shard — the shard→machine array is shared with the migration
+executor, so a shard starts serving from its destination the instant its
+copy lands, rather than being window-averaged.
 
 Arrival generation (RNG semantics) stays with the caller: the
 ``simulate_serving`` facade draws arrivals exactly as the legacy DES did,
@@ -16,12 +17,10 @@ and the CLI/experiments hand in diurnal traces from
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.runtime.kernel import Runtime
-from repro.runtime.machines import QueryRecord, ServingFleet
+from repro.runtime.machines import ServingFleet
 
 __all__ = ["QueryArrivalProcess"]
 
@@ -65,9 +64,8 @@ class QueryArrivalProcess:
         self._mapping = mapping
         self._times = arrival_times
         self._rows = query_rows
-        self._num_shards = int(mapping.shape[0])
         self._next = 0
-        self.records: List[QueryRecord] = []
+        self._queries = np.empty(arrival_times.shape[0], dtype=np.int64)
 
     def start(self, rt: Runtime) -> None:
         if self._times.size:
@@ -75,18 +73,9 @@ class QueryArrivalProcess:
 
     def _on_arrival(self, rt: Runtime) -> None:
         i = self._next
-        t = self._times[i]
-        record = QueryRecord(t)
-        row = self._work[self._rows[i]]
-        mapping = self._mapping
-        location = self._location
-        machines = self._fleet.machines
-        for j in range(self._num_shards):
-            w = row[mapping[j]]
-            if w <= 0:
-                continue
-            machines[location[j]].enqueue(t, w, record)
-        self.records.append(record)
+        self._queries[i] = self._fleet.fan_out(
+            self._times[i], self._work[self._rows[i]], self._location, self._mapping
+        )
         self._next = i + 1
         if self._next < self._times.size:
             rt.at(float(self._times[self._next]), self._on_arrival)
@@ -94,10 +83,8 @@ class QueryArrivalProcess:
     # ---------------------------------------------------------------- results
     def latencies(self) -> np.ndarray:
         """Per-query latencies in arrival order (flush the fleet first)."""
-        return np.array(
-            [r.finish_max - r.arrival for r in self.records], dtype=np.float64
-        )
+        return self._fleet.latencies(self._queries[: self._next])
 
     @property
     def queries_completed(self) -> int:
-        return len(self.records)
+        return self._next

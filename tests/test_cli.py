@@ -6,8 +6,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.cli import main
+from repro.cli import _InputError, _load_snapshot, main
 from repro.cluster import load_json
 
 
@@ -489,6 +491,113 @@ class TestMalformedSnapshot:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "absent.json")]) == 2
         assert "No such file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("machine_id", [1e308, 2**70, 1.7, True, "1"])
+    def test_non_int64_machine_id_rejected(self, snapshot, tmp_path, capsys, machine_id):
+        data = json.loads(snapshot.read_text())
+        data["assignment"][0] = machine_id
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        assert main(["info", str(bad)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: snapshot ")
+        assert "assignment machine id" in err[0]
+
+
+#: JSON values a hand-edited or truncated snapshot might hold.
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.sampled_from([0, 1, -1, 2**63 - 1, 2**63, -(2**63) - 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 1.7, 0.0, -0.0]),
+    st.text(max_size=3),
+)
+_JSON = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _mutations(draw):
+    """Edits ``(field, where, index, value)`` to a valid snapshot dict:
+    replace the whole field, one item of it, or one key of one entry
+    (``drop`` deletes a key instead)."""
+    edits = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        field = draw(st.sampled_from(["assignment", "machines", "shards", "offline", "blocked"]))
+        where = draw(
+            st.sampled_from(
+                {
+                    "assignment": ["whole", "item"],
+                    "machines": ["whole", "item", "id", "capacity", "cls", "exchange", "drop"],
+                    "shards": ["whole", "item", "id", "demand", "size_bytes", "replica_of", "drop"],
+                    "offline": ["whole", "item"],
+                    "blocked": ["whole", "item"],
+                }[field]
+            )
+        )
+        edits.append((field, where, draw(st.integers(0, 40)), draw(_JSON)))
+    return edits
+
+
+def _apply(data, edits):
+    for field, where, index, value in edits:
+        current = data.get(field, [])
+        if where == "whole" or not isinstance(current, list):
+            data[field] = value
+        elif where == "item":
+            if current and index < len(current):
+                current[index] = value
+            else:
+                current.append(value)
+            data[field] = current
+        elif current and isinstance(current[index % len(current)], dict):
+            entry = current[index % len(current)]
+            if where == "drop":
+                if entry:
+                    del entry[sorted(entry)[index % len(entry)]]
+            else:
+                entry[where] = value
+
+
+class TestLoadJsonFuzz:
+    """Mutated snapshots either load into a state that validates, or fail
+    with an error the CLI reports as one line -- never a traceback."""
+
+    @given(edits=_mutations())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow,
+              HealthCheck.function_scoped_fixture])
+    def test_load_json_fuzz(self, tmp_path, edits):
+        data = {
+            "version": 1,
+            "schema": ["cpu", "ram"],
+            "machines": [
+                {"id": i, "capacity": [4.0, 8.0], "cls": "std", "exchange": False}
+                for i in range(3)
+            ],
+            "shards": [
+                {"id": j, "demand": [1.0, 1.0], "size_bytes": 10.0, "replica_of": -1}
+                for j in range(4)
+            ],
+            "assignment": [0, 1, 2, 0],
+            "offline": [],
+            "blocked": [],
+        }
+        _apply(data, edits)
+        path = tmp_path / "fuzz.json"
+        path.write_text(json.dumps(data))
+        try:
+            state = _load_snapshot(str(path))
+        except _InputError:
+            return
+        state.validate()
 
 
 class TestParser:

@@ -57,6 +57,17 @@ class TestMachinePool:
         assert pool.size == 0
         assert pool.lend(0) == []
 
+    def test_lend_nothing_leaves_inventory_unchanged(self):
+        # Smallest first, with capacities whose float sum depends on order:
+        # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1.
+        caps = [np.full(3, 0.1), np.full(3, 0.2), np.full(3, 0.3)]
+        pool = MachinePool([Machine(id=i, capacity=c) for i, c in enumerate(caps)])
+        before = [m.id for m in pool.inventory()]
+        total = pool.total_capacity()
+        assert pool.lend(0) == []
+        assert [m.id for m in pool.inventory()] == before
+        assert np.array_equal(pool.total_capacity(), total)
+
 
 class TestRebalanceWithPool:
     def test_pool_size_conserved_on_success(self):

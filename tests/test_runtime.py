@@ -91,27 +91,22 @@ class TestFCFSMachine:
     def test_speed_change_conserves_work(self):
         # 10 units of work at speed 1; halve the speed halfway through.
         m = FCFSMachine(1.0)
-        from repro.runtime.machines import QueryRecord
-
-        q = QueryRecord(0.0)
+        q = m.fleet.open_query(0.0)
         m.enqueue(0.0, 10.0, q)
         m.set_speed(5.0, 0.5)
-        m.flush()
+        m.fleet.flush()
         # 5 units done by t=5, remaining 5 at speed 0.5 -> finishes at 15.
-        assert q.finish_max == pytest.approx(15.0)
+        assert m.fleet.latencies(np.array([q]))[0] == pytest.approx(15.0)
         assert m.busy_time == pytest.approx(15.0)
 
     def test_queued_tasks_rechain_after_speed_change(self):
-        from repro.runtime.machines import QueryRecord
-
         m = FCFSMachine(2.0)
-        q1, q2 = QueryRecord(0.0), QueryRecord(0.0)
+        q1, q2 = m.fleet.open_query(0.0), m.fleet.open_query(0.0)
         m.enqueue(0.0, 4.0, q1)  # serves [0, 2)
         m.enqueue(0.0, 4.0, q2)  # serves [2, 4)
         m.set_speed(1.0, 1.0)  # q1 has 2 units left -> finishes t=3
-        m.flush()
-        assert q1.finish_max == pytest.approx(3.0)
-        assert q2.finish_max == pytest.approx(7.0)
+        m.fleet.flush()
+        assert m.fleet.latencies(np.array([q1, q2])) == pytest.approx([3.0, 7.0])
 
     def test_derate_restores_exactly(self):
         m = FCFSMachine(3.0)
